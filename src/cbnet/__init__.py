@@ -42,7 +42,6 @@ from .errors import (
 from .observations import FoldedObservations, ObservationStream, fold, frame_pair
 from .period import (
     CbnModel,
-    LagProfile,
     LearnConfig,
     PeriodEstimate,
     dft_magnitude,
@@ -71,7 +70,6 @@ __all__ = [
     "EmptyInputError",
     "FoldedObservations",
     "InsufficientDataError",
-    "LagProfile",
     "LearnConfig",
     "NoPeakError",
     "NoValleyError",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpt import _check_pair
-from .errors import ShapeMismatchError  # noqa: F401  (re-raised via _check_pair)
 
 
 @dataclass(frozen=True)

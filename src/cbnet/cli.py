@@ -175,11 +175,12 @@ def cmd_learn(args) -> int:
 def proposed_pipeline(parent: np.ndarray, child: np.ndarray, eps: float = DEFAULT_EPS):
     """The timed closed-form path: CPT, clique dependence, normalization.
 
-    Uses the indexed CPT implementation, which is property-tested to be
-    bit-identical to the literal floored-average matrix form; the benchmark
-    compares algorithms, not a deliberately naive realization of one side.
+    Runs the production ``bbcpt``, whose histogram counting is property-tested
+    to be bit-identical to the literal floored-average matrix form; the
+    benchmark compares algorithms, not a deliberately naive realization of
+    one side.
     """
-    return normalize(cpbd_clique(bbcpt(parent, child, eps=eps, method="indexed")))
+    return normalize(cpbd_clique(bbcpt(parent, child, eps=eps)))
 
 
 def _bench_one_m(m: int, n: int, seed: int, repeat: int, timeout: float | None):

@@ -1,10 +1,12 @@
 """Closed-form conditional probability table estimation for one clique.
 
-The estimator enumerates all 2^M parent patterns as rows of a condition
-matrix, matches every frame against every pattern with a floored-average
-indicator, and reduces the counts to empirical conditionals with a single
-pair of matrix products.  A slow per-frame counting oracle is provided for
-testing.
+The 2^M parent patterns are the rows of a condition matrix, row x being the
+binary encoding of x.  The closed form matches every frame against every
+row with a floored-average indicator; since a frame matches exactly the row
+whose index is its own parent pattern, production code counts by encoding
+each frame's parent column as that condition index and histogramming.  The
+literal floored-average match (``match_indicator``) and a per-frame counting
+oracle are kept as references for the tests.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ M_MAX = 20
 
 #: sentinel for oracle entries whose parent pattern never occurs
 UNDEFINED = -1.0
-
-# Frame-count chunk for the matmul; keeps the 2^M x K indicator block small.
-_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class ConditionMatrix:
@@ -58,7 +56,8 @@ def condition_matrix(M: int) -> ConditionMatrix:
     return ConditionMatrix(M=M, rows=((x >> shifts) & 1).astype(np.int8))
 
 
-def _check_pair(parent, child) -> tuple[np.ndarray, np.ndarray]:
+def _frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
+    """Validated 2-D frame matrices, in the dtype they came in."""
     parent = np.asarray(parent)
     child = np.asarray(child)
     if parent.ndim == 1:
@@ -71,6 +70,11 @@ def _check_pair(parent, child) -> tuple[np.ndarray, np.ndarray]:
         )
     if parent.size == 0 or parent.shape[1] == 0:
         raise EmptyInputError("no frame pairs supplied")
+    return parent, child
+
+
+def _check_pair(parent, child) -> tuple[np.ndarray, np.ndarray]:
+    parent, child = _frames(parent, child)
     return parent.astype(np.int64), child.astype(np.int64)
 
 
@@ -89,59 +93,37 @@ def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:
     return (np.rint(agree).astype(np.int64)) // M
 
 
-def _assemble(M: int, num: np.ndarray, counts: np.ndarray, eps: float) -> CliqueCPT:
-    raw = np.full((2**M, M), 0.5)
+def condition_codes(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Condition index of every column of an M x ... binary array (MSB first).
+
+    Builds the int64 codes row by row from the frames in their own dtype,
+    so int8 frames are never copied to int64 as a whole.  With ``out`` the
+    bits are shifted in below its existing contents: a prefilled phase t
+    gives t * 2^M + code.
+    """
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "biu":
+        rows = rows.astype(np.int64)
+    codes = np.zeros(rows.shape[1:], dtype=np.int64) if out is None else out
+    for row in rows:
+        codes <<= 1
+        codes += row
+    return codes
+
+
+def _assemble(num: np.ndarray, counts: np.ndarray, eps: float):
+    """(B, B_raw) for stacked tables: num (..., 2^M, M), counts (..., 2^M).
+
+    Unseen rows hold 0.5; seen rows of B are clamped to [eps, 1-eps].
+    """
     seen = counts > 0
-    raw[seen] = num[seen] / counts[seen, None]
-    B = raw.copy()
-    B[seen] = np.clip(B[seen], eps, 1.0 - eps)
-    return CliqueCPT(M=M, B=B, counts=counts, eps=eps, B_raw=raw)
+    raw = np.full(num.shape, 0.5)
+    np.divide(num, counts[..., None], out=raw, where=seen[..., None])
+    B = np.where(seen[..., None], np.clip(raw, eps, 1.0 - eps), raw)
+    return B, raw
 
 
-def _counts_floored(parent: np.ndarray, child: np.ndarray):
-    """Pattern counts via the literal floored-average match indicator.
-
-    Expanding the elementwise (1-C)(1-P) product gives
-    agree = M - rowsum(C) - colsum(P) + 2 C@P, one matrix product instead
-    of two.  All intermediates are integers bounded by M, held exactly in
-    float64, so this is bit-identical to match_indicator (asserted in the
-    test suite).
-    """
-    M, K = parent.shape
-    Cf = condition_matrix(M).rows.astype(np.float64)
-    c_rowsum = Cf.sum(axis=1)
-    counts = np.zeros(2**M, dtype=np.int64)
-    num = np.zeros((2**M, M), dtype=np.float64)
-    for lo in range(0, K, _CHUNK):
-        hi = min(lo + _CHUNK, K)
-        Pf = parent[:, lo:hi].astype(np.float64)
-        agree = 2.0 * (Cf @ Pf) + (M - c_rowsum)[:, None] - Pf.sum(axis=0)[None, :]
-        nom = np.floor(agree / M)  # exact: agree == M iff a full match
-        counts += np.rint(nom.sum(axis=1)).astype(np.int64)
-        num += nom @ child[:, lo:hi].astype(np.float64).T
-    return np.rint(num).astype(np.int64), counts
-
-
-def _counts_indexed(parent: np.ndarray, child: np.ndarray):
-    """Pattern counts via direct condition-index histograms.
-
-    Encodes every frame's parent column as its condition index and tallies
-    with bincount.  Produces integer counts identical to _counts_floored at
-    a fraction of the cost; used by the benchmark pipeline.
-    """
-    M, K = parent.shape
-    weights = np.left_shift(1, np.arange(M - 1, -1, -1, dtype=np.int64))
-    idx = weights @ parent
-    counts = np.bincount(idx, minlength=2**M)
-    num = np.empty((2**M, M), dtype=np.int64)
-    for i in range(M):
-        num[:, i] = np.rint(
-            np.bincount(idx, weights=child[i].astype(np.float64), minlength=2**M)
-        ).astype(np.int64)
-    return num, counts
-
-
-def bbcpt(parent, child, eps: float = DEFAULT_EPS, method: str = "floored") -> CliqueCPT:
+def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     """Closed-form empirical CPT of one clique from binary frame matrices.
 
     parent and child are M x K arrays; column k holds the joint sensor
@@ -149,21 +131,24 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS, method: str = "floored") -> C
     default 0.5; everything else is clamped to [eps, 1-eps] so downstream
     logarithms stay finite.
 
-    method "floored" evaluates the matrix closed form literally (the
-    floored-average match indicator); "indexed" tallies condition indices
-    with histograms instead.  Both produce bit-identical tables.
+    Counting is a histogram over condition indices: each frame's parent
+    column is encoded as the index of the condition-matrix row it matches,
+    one bincount gives the pattern counts and one weighted bincount per
+    child sensor gives the child-on counts.  The integers are exactly those
+    of the literal floored-average match matrix (``match_indicator``, kept
+    as the test reference) and of ``counting_oracle``.
     """
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    parent, child = _check_pair(parent, child)
+    parent, child = _frames(parent, child)
     M = parent.shape[0]
-    if method == "floored":
-        num, counts = _counts_floored(parent, child)
-    elif method == "indexed":
-        num, counts = _counts_indexed(parent, child)
-    else:
-        raise ValueError(f"unknown bbcpt method '{method}'")
-    return _assemble(M, num, counts, eps)
+    idx = condition_codes(parent)
+    counts = np.bincount(idx, minlength=2**M)
+    num = np.empty((2**M, M))
+    for i in range(M):
+        num[:, i] = np.bincount(idx, weights=child[i], minlength=2**M)
+    B, raw = _assemble(num, counts, eps)
+    return CliqueCPT(M=M, B=B, counts=counts, eps=eps, B_raw=raw)
 
 
 def counting_oracle(parent, child) -> tuple[np.ndarray, np.ndarray]:

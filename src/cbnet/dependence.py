@@ -4,8 +4,10 @@ Edge strength from parent k to child i is the sum, over both child values
 and every assignment of the other M-1 parents, of the absolute log-ratio
 between the two conditionals that differ only in parent k.  It is zero
 exactly under conditional independence.  The clique-level computation pairs
-condition rows through a sparse difference operator; a literal nested-loop
-oracle is kept for verification.
+condition rows that differ in one parent bit as two strided views of the
+table, which is the sparse difference operator applied without building it;
+the explicit operator and a literal nested-loop oracle are kept for
+verification.
 """
 
 from __future__ import annotations
@@ -83,23 +85,34 @@ def _check_open_unit(B: np.ndarray):
         )
 
 
-def cpbd_clique(cpt: CliqueCPT) -> DependenceMatrix:
-    """CPbD of every edge of one clique from its CPT.
+def cpbd_tables(M: int, B: np.ndarray) -> np.ndarray:
+    """CPbD matrices of stacked CPTs: B (..., 2^M, M) -> D (..., M, M).
 
-    D[i, k] sums |log B - log B| and |log(1-B) - log(1-B)| over the
+    D[..., i, k] sums |log B - log B| and |log(1-B) - log(1-B)| over the
     2^(M-1) row pairs of block k (natural log).  Equivalent to applying the
-    dense difference operator and block-summing, without materializing it.
+    dense difference operator and block-summing, without materializing it:
+    the rows with parent k's bit at 0 and at 1 are two strided views of the
+    table, taken in assignment order.
     """
-    B = cpt.B
     _check_open_unit(B)
-    op = difference_operator(cpt.M)
+    lead = B.shape[:-2]
     logB = np.log(B)
     log1mB = np.log(1.0 - B)
-    # (M, 2^(M-1), M): per block k, per assignment a, per child i
-    d_on = np.abs(logB[op.plus_rows] - logB[op.minus_rows])
-    d_off = np.abs(log1mB[op.plus_rows] - log1mB[op.minus_rows])
-    D = (d_on + d_off).sum(axis=1).T  # rows -> child i, cols -> parent k
-    return DependenceMatrix(M=cpt.M, D=D)
+    Dt = np.empty(lead + (M, M))  # [parent k, child i]
+    for k in range(M):
+        # parent k+1 is bit M-1-k of the condition index
+        pairs = lead + (2**k, 2, 2 ** (M - 1 - k), M)
+        on = logB.reshape(pairs)
+        off = log1mB.reshape(pairs)
+        d = np.abs(on[..., 0, :, :] - on[..., 1, :, :])
+        d += np.abs(off[..., 0, :, :] - off[..., 1, :, :])
+        Dt[..., k, :] = d.reshape(lead + (-1, M)).sum(axis=-2)
+    return np.swapaxes(Dt, -1, -2)
+
+
+def cpbd_clique(cpt: CliqueCPT) -> DependenceMatrix:
+    """CPbD of every edge of one clique from its CPT (see ``cpbd_tables``)."""
+    return DependenceMatrix(M=cpt.M, D=cpbd_tables(cpt.M, cpt.B))
 
 
 def direct_cpbd(cpt: CliqueCPT, i: int, k: int) -> float:

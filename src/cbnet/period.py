@@ -16,23 +16,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpt import DEFAULT_EPS, CliqueCPT, bbcpt
-from .dependence import DependenceMatrix, cpbd_clique, normalize
+from .cpt import DEFAULT_EPS, CliqueCPT, _assemble, bbcpt, condition_codes
+from .dependence import DependenceMatrix, cpbd_clique, cpbd_tables, normalize
 from .errors import (
+    EmptyInputError,
     InsufficientDataError,
     NoPeakError,
     NoValleyError,
     PeriodRangeError,
 )
-from .observations import FoldedObservations, ObservationStream, fold, frame_pair
+from .observations import ObservationStream, fold, frame_pair
 
-
-@dataclass(frozen=True)
-class LagProfile:
-    """Averaged dependence per probe lag, d[x] for x = 1..max_lag."""
-
-    d: dict[int, float]
-    max_lag: int
+#: Most table entries (phases x 2^M rows x M children) lag_dependence stacks
+#: at once.  A block of this size stays cache-resident through the CPbD, and
+#: one phase is always allowed, so a block never holds more than the single
+#: table a per-phase evaluation builds.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,6 @@ class CbnModel:
     provenance: dict
 
 
-def _substream(stream: ObservationStream, sensors) -> ObservationStream:
-    if sensors is None:
-        return stream
-    return stream.select(sensors)
-
-
 def lag_dependence(
     stream: ObservationStream,
     x: int,
@@ -79,21 +72,48 @@ def lag_dependence(
 ) -> float:
     """Averaged dependence of the stream on itself at a lag of exactly x slots.
 
-    Folds the (sub)stream at P = x; within each phase, consecutive frames
-    are exactly x raw slots apart, so pairing each phase column with its
-    next-frame self probes the lag-x dependence.  The summed per-phase
-    dependence matrices are averaged over phases and edges.
+    Folding the (sub)stream at P = x makes each phase column a clique whose
+    consecutive frames are exactly x raw slots apart, so pairing it with its
+    next-frame self probes the lag-x dependence.  The value is the sum of the
+    x per-phase CPbD matrices, averaged over phases and edges.
+
+    All phases are counted together: every parent frame of the stream is
+    encoded once, straight into a (phase, condition index) key, and one
+    bincount over the keys, plus one weighted bincount per child sensor,
+    gives every phase's CPT counts.  The CPbD of the stacked (phases, 2^M, M)
+    tables runs through ``cpbd_tables``, the core of ``cpbd_clique``.  Phases
+    are processed in blocks of at most ``_BLOCK_ELEMENTS`` table entries.
+    Values are bit-identical to folding at x and summing ``bbcpt`` +
+    ``cpbd_clique`` phase by phase.
     """
-    sub = _substream(stream, sensors)
-    m = sub.sensor_count
-    folded = fold(sub, x)  # raises PeriodRangeError when the lag is too large
-    cols = folded.columns
+    values = stream.values if sensors is None else stream.values[list(sensors)]
+    m, n = values.shape
+    if m == 0:
+        raise EmptyInputError("no sensors selected")
+    if not 1 <= x <= n // 2:
+        raise PeriodRangeError(f"lag {x} outside [1, {n // 2}] for {n} slots")
+    f = n // x
+    frames = values[:, : f * x].reshape(m, f, x)  # [sensor, frame, phase]
+    rows = 2**m
+    block = max(1, _BLOCK_ELEMENTS // (rows * m))
     total = 0.0
-    for t in range(x):
-        parent = cols[:, t, :-1]
-        child = cols[:, t, 1:]
-        cpt = bbcpt(parent, child, eps=eps)
-        total += float(cpbd_clique(cpt).D.sum())
+    for lo in range(0, x, block):
+        hi = min(lo + block, x)
+        # the block-local phase leads the parent bits: key = phase * 2^m + code
+        keys = np.empty((f - 1, hi - lo), dtype=np.int64)
+        keys[:] = np.arange(hi - lo)
+        keys = condition_codes(frames[:, :-1, lo:hi], out=keys).ravel()
+        size = (hi - lo) * rows
+        counts = np.bincount(keys, minlength=size).reshape(hi - lo, rows)
+        num = np.empty((hi - lo, rows, m))
+        for i in range(m):
+            child = frames[i, 1:, lo:hi].ravel()
+            num[..., i] = np.bincount(keys, weights=child, minlength=size).reshape(
+                hi - lo, rows
+            )
+        B, _ = _assemble(num, counts, eps)
+        for D in cpbd_tables(m, B):
+            total += float(D.sum())
     return total / (x * m * m)
 
 
@@ -116,7 +136,8 @@ def find_ts(
 
     Scans lags 2..2^l + 1 starting at l = initial_exponent, doubling the
     window until a valley appears or the data limit (half the stream) is
-    reached.  ``_profile`` overrides the lag evaluator for testing.
+    reached.  ``_profile`` replaces the lag evaluator: ``learn_cbn`` passes
+    its memoized profile, and tests pass synthetic ones.
     """
     if _profile is None:
         def _profile(x):
@@ -248,15 +269,28 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
                 f"period override {t_star} outside [1, {stream.slot_count // 2}]"
             )
     else:
+        # One memoized lag profile per call, shared by every search below and
+        # dropped when learn_cbn returns: each (sensors, lag) is evaluated once.
+        memo: dict[tuple, float] = {}
+
+        def profile(sensors):
+            def at(x):
+                key = (sensors, x)
+                if key not in memo:
+                    memo[key] = lag_dependence(stream, x, sensors=sensors, eps=eps)
+                return memo[key]
+
+            return at
+
         per_sensor = [
-            find_ts(stream, sensors=[i], initial_exponent=config.initial_exponent,
-                    eps=eps)
+            find_ts(stream, initial_exponent=config.initial_exponent,
+                    _profile=profile((i,)))
             for i in range(m)
         ]
         ts_max = max(per_sensor)
         l0 = max(config.initial_exponent, math.ceil(math.log2(max(ts_max, 2))))
-        ts_star = find_ts(stream, initial_exponent=l0, eps=eps)
-        tp, spectrum = find_tp(stream, ts_star, eps=eps)
+        ts_star = find_ts(stream, initial_exponent=l0, _profile=profile(None))
+        tp, spectrum = find_tp(stream, ts_star, _profile=profile(None))
         t_star = resolve_period(ts_star, tp)
         estimate = PeriodEstimate(
             ts_star=ts_star, tp=tp, t_star=t_star, spectrum=spectrum

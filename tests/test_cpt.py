@@ -87,14 +87,24 @@ class TestBbcpt:
             bbcpt([0, 1], [1, 0], eps=0.7)
 
     def test_indexed_method_bit_identical(self):
+        # the histogram kernel against the literal floored-average closed form
+        eps = 1e-3
         for seed in range(20):
             M = seed % 6 + 1
             parent, child = random_pair(M, 311, seed, p=0.3)
-            a = bbcpt(parent, child)
-            b = bbcpt(parent, child, method="indexed")
-            assert np.array_equal(a.B, b.B)
-            assert np.array_equal(a.B_raw, b.B_raw)
-            assert np.array_equal(a.counts, b.counts)
+            C = condition_matrix(M).rows.astype(np.int64)
+            nom = match_indicator(C, parent.astype(np.int64))
+            counts = nom.sum(axis=1)
+            num = nom @ child.astype(np.int64).T
+            seen = counts > 0
+            B_raw = np.full((2**M, M), 0.5)
+            B_raw[seen] = num[seen] / counts[seen, None]
+            B = B_raw.copy()
+            B[seen] = np.clip(B[seen], eps, 1.0 - eps)
+            cpt = bbcpt(parent, child, eps=eps)
+            assert np.array_equal(cpt.B, B)
+            assert np.array_equal(cpt.B_raw, B_raw)
+            assert np.array_equal(cpt.counts, counts)
 
     def test_counts_sum_to_frames(self):
         parent, child = random_pair(3, 257, 9)

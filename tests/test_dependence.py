@@ -14,6 +14,7 @@ from cbnet import (
     direct_cpbd,
     normalize,
 )
+from cbnet.dependence import cpbd_tables
 
 
 def random_cpt(M, seed, lo=0.05, hi=0.95):
@@ -85,6 +86,18 @@ class TestCpbdClique:
                     assert D[i - 1, k - 1] == pytest.approx(
                         direct_cpbd(cpt, i, k), abs=1e-12
                     )
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 5])
+    def test_stacked_tables_match_dense_operator(self, M):
+        cpts = [random_cpt(M, seed * 31 + M) for seed in range(6)]
+        D = cpbd_tables(M, np.stack([cpt.B for cpt in cpts]))
+        L = difference_operator(M).dense().astype(np.float64)
+        for cpt, got in zip(cpts, D, strict=True):
+            # rows of L.T are (block k, assignment a); columns are children i
+            pairs = np.abs(L.T @ np.log(cpt.B)) + np.abs(L.T @ np.log(1.0 - cpt.B))
+            want = pairs.reshape(M, 2 ** (M - 1), M).sum(axis=1).T
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert np.array_equal(got, cpbd_clique(cpt).D)
 
     def test_zero_edge_iff_flip_invariant(self):
         # B column for child 1 depends only on parent 1 -> edge from parent 2 is 0

@@ -94,10 +94,20 @@ class TestLagDependence:
             lag_dependence(s, 5)
 
     def test_matches_independent_reference(self):
-        s = planted_stream(4, 200, M=2, seed=3)
-        for x in (2, 3, 4, 5):
-            assert lag_dependence(s, x) == pytest.approx(
-                oracle_lag_dependence(s, x), rel=1e-9
+        # every lag up to N//2 (two frames per phase), N not a multiple of
+        # most lags, so trailing slots are dropped
+        for M in (1, 2, 3, 4):
+            s = planted_stream(5, 13, M=M, seed=3)
+            lags = range(1, s.slot_count // 2 + 1)
+            for x in lags:
+                assert lag_dependence(s, x) == pytest.approx(
+                    oracle_lag_dependence(s, x), rel=1e-12
+                )
+        sensors = [3, 0]
+        sub = s.select(sensors)
+        for x in lags:
+            assert lag_dependence(s, x, sensors=sensors) == pytest.approx(
+                oracle_lag_dependence(sub, x), rel=1e-12
             )
 
 
@@ -240,6 +250,34 @@ class TestLearnCbn:
         s = planted_stream(12, 4000)
         model = learn_cbn(s)
         assert model.period == 12
+
+    def test_blind_learn_evaluates_each_lag_once(self, monkeypatch):
+        import cbnet.period as period
+
+        s = planted_stream(12, 300, seed=2)
+        ts = [find_ts(s, sensors=[i]) for i in range(s.sensor_count)]
+        l0 = max(2, math.ceil(math.log2(max(max(ts), 2))))
+        ts_star = find_ts(s, initial_exponent=l0)
+        tp, _ = find_tp(s, ts_star)
+        reference = learn_cbn(s, LearnConfig(period=resolve_period(ts_star, tp)))
+
+        keys = []
+        evaluate = period.lag_dependence
+
+        def counted(stream, x, sensors=None, eps=1e-3):
+            keys.append((None if sensors is None else tuple(sensors), x))
+            return evaluate(stream, x, sensors=sensors, eps=eps)
+
+        monkeypatch.setattr(period, "lag_dependence", counted)
+        model = learn_cbn(s)
+        assert keys and len(keys) == len(set(keys))
+        assert {k for k in keys if k[0] is None} >= {(None, x) for x in range(2, 5)}
+        assert model.period == reference.period
+        for got, want in zip(model.cpts, reference.cpts, strict=True):
+            assert np.array_equal(got.B, want.B)
+            assert np.array_equal(got.counts, want.counts)
+        for got, want in zip(model.deps, reference.deps, strict=True):
+            assert np.array_equal(got.D, want.D)
 
     def test_short_stream_warns(self):
         s = stream_of([[0, 1] * 8])
