@@ -47,10 +47,15 @@ class CliqueCPT:
     B_raw: np.ndarray | None = field(default=None, repr=False)
 
 
-def condition_matrix(M: int) -> ConditionMatrix:
-    """All 2^M parent patterns; row x is the M-bit binary encoding of x."""
+def check_sensor_count(M: int) -> None:
+    """Reject a sensor count whose 2^M-row tables are out of range."""
     if not 1 <= M <= M_MAX:
         raise DimensionError(f"sensor count {M} outside [1, {M_MAX}]")
+
+
+def condition_matrix(M: int) -> ConditionMatrix:
+    """All 2^M parent patterns; row x is the M-bit binary encoding of x."""
+    check_sensor_count(M)
     x = np.arange(2**M, dtype=np.int64)[:, None]
     shifts = np.arange(M - 1, -1, -1, dtype=np.int64)[None, :]
     return ConditionMatrix(M=M, rows=((x >> shifts) & 1).astype(np.int8))
@@ -111,16 +116,35 @@ def condition_codes(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     return codes
 
 
-def _assemble(num: np.ndarray, counts: np.ndarray, eps: float):
-    """(B, B_raw) for stacked tables: num (..., 2^M, M), counts (..., 2^M).
+def stacked_cpts(parent: np.ndarray, child: np.ndarray, eps: float = DEFAULT_EPS):
+    """Histogram CPTs of S cliques at once from M x K x S frame arrays.
 
-    Unseen rows hold 0.5; seen rows of B are clamped to [eps, 1-eps].
+    parent[:, k, s] and child[:, k, s] are frame pair k of clique s.  Every
+    parent frame is encoded straight into the key s * 2^M + condition index;
+    one bincount over the keys gives every clique's pattern counts and one
+    weighted bincount per child sensor its child-on counts.  Returns
+    (B, B_raw, counts) of shapes (S, 2^M, M), (S, 2^M, M) and (S, 2^M):
+    unseen rows hold 0.5 and seen rows of B are clamped to [eps, 1-eps].
     """
+    if not 0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    M, K, S = parent.shape
+    check_sensor_count(M)
+    rows = 2**M
+    size = S * rows
+    keys = np.empty((K, S), dtype=np.int64)
+    keys[:] = np.arange(S)
+    keys = condition_codes(parent, out=keys).ravel()
+    counts = np.bincount(keys, minlength=size).reshape(S, rows)
+    num = np.empty((size, M))
+    for i in range(M):
+        num[:, i] = np.bincount(keys, weights=child[i].ravel(), minlength=size)
+    num = num.reshape(S, rows, M)
     seen = counts > 0
     raw = np.full(num.shape, 0.5)
     np.divide(num, counts[..., None], out=raw, where=seen[..., None])
     B = np.where(seen[..., None], np.clip(raw, eps, 1.0 - eps), raw)
-    return B, raw
+    return B, raw, counts
 
 
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
@@ -131,24 +155,18 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     default 0.5; everything else is clamped to [eps, 1-eps] so downstream
     logarithms stay finite.
 
-    Counting is a histogram over condition indices: each frame's parent
-    column is encoded as the index of the condition-matrix row it matches,
-    one bincount gives the pattern counts and one weighted bincount per
-    child sensor gives the child-on counts.  The integers are exactly those
-    of the literal floored-average match matrix (``match_indicator``, kept
-    as the test reference) and of ``counting_oracle``.
+    Counting is a histogram over condition indices (``stacked_cpts`` with a
+    single clique): each frame's parent column is encoded as the index of
+    the condition-matrix row it matches, one bincount gives the pattern
+    counts and one weighted bincount per child sensor gives the child-on
+    counts.  The integers are exactly those of the literal floored-average
+    match matrix (``match_indicator``, kept as the test reference) and of
+    ``counting_oracle``.
     """
-    if not 0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     parent, child = _frames(parent, child)
+    B, raw, counts = stacked_cpts(parent[..., None], child[..., None], eps)
     M = parent.shape[0]
-    idx = condition_codes(parent)
-    counts = np.bincount(idx, minlength=2**M)
-    num = np.empty((2**M, M))
-    for i in range(M):
-        num[:, i] = np.bincount(idx, weights=child[i], minlength=2**M)
-    B, raw = _assemble(num, counts, eps)
-    return CliqueCPT(M=M, B=B, counts=counts, eps=eps, B_raw=raw)
+    return CliqueCPT(M=M, B=B[0], counts=counts[0], eps=eps, B_raw=raw[0])
 
 
 def counting_oracle(parent, child) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpt import M_MAX, CliqueCPT
-from .errors import BoundaryProbabilityError, DimensionError
+from .cpt import CliqueCPT, check_sensor_count
+from .errors import BoundaryProbabilityError
 
 #: diagonal entries below this are treated as degenerate when normalizing
 DEGENERATE_DIAG = 1e-9
@@ -53,8 +53,7 @@ class DifferenceOperator:
 
 def difference_operator(M: int) -> DifferenceOperator:
     """Build the row-pairing operator for M parents."""
-    if not 1 <= M <= M_MAX:
-        raise DimensionError(f"sensor count {M} outside [1, {M_MAX}]")
+    check_sensor_count(M)
     half = 2 ** (M - 1)
     plus = np.empty((M, half), dtype=np.int64)
     minus = np.empty((M, half), dtype=np.int64)
@@ -94,6 +93,7 @@ def cpbd_tables(M: int, B: np.ndarray) -> np.ndarray:
     the rows with parent k's bit at 0 and at 1 are two strided views of the
     table, taken in assignment order.
     """
+    check_sensor_count(M)
     _check_open_unit(B)
     lead = B.shape[:-2]
     logB = np.log(B)

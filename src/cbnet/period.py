@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpt import DEFAULT_EPS, CliqueCPT, _assemble, bbcpt, condition_codes
+from .cpt import DEFAULT_EPS, CliqueCPT, bbcpt, check_sensor_count, stacked_cpts
 from .dependence import DependenceMatrix, cpbd_clique, cpbd_tables, normalize
 from .errors import (
     EmptyInputError,
@@ -77,41 +77,35 @@ def lag_dependence(
     next-frame self probes the lag-x dependence.  The value is the sum of the
     x per-phase CPbD matrices, averaged over phases and edges.
 
-    All phases are counted together: every parent frame of the stream is
-    encoded once, straight into a (phase, condition index) key, and one
-    bincount over the keys, plus one weighted bincount per child sensor,
-    gives every phase's CPT counts.  The CPbD of the stacked (phases, 2^M, M)
-    tables runs through ``cpbd_tables``, the core of ``cpbd_clique``.  Phases
-    are processed in blocks of at most ``_BLOCK_ELEMENTS`` table entries.
-    Values are bit-identical to folding at x and summing ``bbcpt`` +
-    ``cpbd_clique`` phase by phase.
+    All phases are counted together by ``stacked_cpts``, the kernel of
+    ``bbcpt``: every parent frame of the stream is encoded once, straight
+    into a (phase, condition index) key, and one bincount over the keys,
+    plus one weighted bincount per child sensor, gives every phase's CPT.
+    The CPbD of the stacked (phases, 2^M, M) tables runs through
+    ``cpbd_tables``, the core of ``cpbd_clique``.  Phases are processed in
+    blocks of at most ``_BLOCK_ELEMENTS`` table entries.  Values are
+    bit-identical to folding at x and summing ``bbcpt`` + ``cpbd_clique``
+    phase by phase.
     """
-    values = stream.values if sensors is None else stream.values[list(sensors)]
+    values = stream.values
+    if sensors is not None:
+        # the checks of ``stream.select`` without re-validating the copy
+        idx = list(sensors)
+        if not idx:
+            raise EmptyInputError("no sensors selected")
+        if len({range(stream.sensor_count)[i] for i in idx}) != len(idx):
+            raise ValueError(f"sensors {idx} repeat an index")
+        values = values[idx]
     m, n = values.shape
-    if m == 0:
-        raise EmptyInputError("no sensors selected")
     if not 1 <= x <= n // 2:
         raise PeriodRangeError(f"lag {x} outside [1, {n // 2}] for {n} slots")
     f = n // x
     frames = values[:, : f * x].reshape(m, f, x)  # [sensor, frame, phase]
-    rows = 2**m
-    block = max(1, _BLOCK_ELEMENTS // (rows * m))
+    block = max(1, _BLOCK_ELEMENTS // (2**m * m))
     total = 0.0
     for lo in range(0, x, block):
-        hi = min(lo + block, x)
-        # the block-local phase leads the parent bits: key = phase * 2^m + code
-        keys = np.empty((f - 1, hi - lo), dtype=np.int64)
-        keys[:] = np.arange(hi - lo)
-        keys = condition_codes(frames[:, :-1, lo:hi], out=keys).ravel()
-        size = (hi - lo) * rows
-        counts = np.bincount(keys, minlength=size).reshape(hi - lo, rows)
-        num = np.empty((hi - lo, rows, m))
-        for i in range(m):
-            child = frames[i, 1:, lo:hi].ravel()
-            num[..., i] = np.bincount(keys, weights=child, minlength=size).reshape(
-                hi - lo, rows
-            )
-        B, _ = _assemble(num, counts, eps)
+        phases = slice(lo, lo + block)
+        B, _, _ = stacked_cpts(frames[:, :-1, phases], frames[:, 1:, phases], eps)
         for D in cpbd_tables(m, B):
             total += float(D.sum())
     return total / (x * m * m)
@@ -260,6 +254,7 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
         config = LearnConfig()
     eps = config.epsilon
     m = stream.sensor_count
+    check_sensor_count(m)
     estimate = None
 
     if config.period is not None:

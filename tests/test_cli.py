@@ -91,6 +91,22 @@ class TestLearnCommand:
         assert run_cli("learn", "--input", bad, "--output", tmp_path / "m.json") != 0
 
 
+    def test_too_many_sensors_rejected(self, tmp_path, capsys):
+        from cbnet.cpt import M_MAX
+
+        m = M_MAX + 1
+        wide = tmp_path / "wide.csv"
+        header = ",".join(["slot"] + [f"s{i + 1}" for i in range(m)])
+        rows = [
+            f"{t + 1}," + ",".join(str((t + i) % 2) for i in range(m)) for t in range(8)
+        ]
+        wide.write_text("\n".join([header, *rows]) + "\n")
+        model_path = tmp_path / "model.json"
+        assert run_cli("learn", "--input", wide, "--output", model_path) == 2
+        assert not model_path.exists()
+        assert f"sensor count {m}" in capsys.readouterr().err
+
+
 class TestExportCommand:
     @pytest.fixture()
     def model_path(self, tmp_path):

@@ -13,7 +13,7 @@ from cbnet import (
     condition_matrix,
     counting_oracle,
 )
-from cbnet.cpt import UNDEFINED, match_indicator
+from cbnet.cpt import M_MAX, UNDEFINED, match_indicator
 
 
 def random_pair(M, K, seed, p=0.5, q=0.5):
@@ -85,6 +85,11 @@ class TestBbcpt:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             bbcpt([0, 1], [1, 0], eps=0.7)
+
+    def test_too_many_sensors(self):
+        frames = np.zeros((M_MAX + 1, 3), dtype=np.int8)
+        with pytest.raises(DimensionError):
+            bbcpt(frames, frames)
 
     def test_indexed_method_bit_identical(self):
         # the histogram kernel against the literal floored-average closed form

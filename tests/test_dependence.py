@@ -14,6 +14,7 @@ from cbnet import (
     direct_cpbd,
     normalize,
 )
+from cbnet.cpt import M_MAX
 from cbnet.dependence import cpbd_tables
 
 
@@ -98,6 +99,11 @@ class TestCpbdClique:
             want = pairs.reshape(M, 2 ** (M - 1), M).sum(axis=1).T
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert np.array_equal(got, cpbd_clique(cpt).D)
+
+    def test_too_many_sensors(self):
+        # a hand-built CPT claiming M > M_MAX is rejected before its table is read
+        with pytest.raises(DimensionError):
+            cpbd_tables(M_MAX + 1, np.full((4, 2), 0.5))
 
     def test_zero_edge_iff_flip_invariant(self):
         # B column for child 1 depends only on parent 1 -> edge from parent 2 is 0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cbnet import (
+    DimensionError,
+    EmptyInputError,
     LearnConfig,
     NoPeakError,
     ObservationStream,
@@ -19,6 +21,7 @@ from cbnet import (
     learn_cbn,
     resolve_period,
 )
+from cbnet.cpt import M_MAX
 from cbnet.period import first_spectral_peak, harmonic_period
 
 
@@ -94,21 +97,42 @@ class TestLagDependence:
             lag_dependence(s, 5)
 
     def test_matches_independent_reference(self):
+        # about 50 frames per phase at small lags
+        s = planted_stream(4, 200, M=2, seed=3)
+        for x in (2, 3, 4, 5):
+            assert lag_dependence(s, x) == pytest.approx(
+                oracle_lag_dependence(s, x), rel=1e-12
+            )
         # every lag up to N//2 (two frames per phase), N not a multiple of
         # most lags, so trailing slots are dropped
         for M in (1, 2, 3, 4):
             s = planted_stream(5, 13, M=M, seed=3)
-            lags = range(1, s.slot_count // 2 + 1)
-            for x in lags:
+            for x in range(1, s.slot_count // 2 + 1):
                 assert lag_dependence(s, x) == pytest.approx(
                     oracle_lag_dependence(s, x), rel=1e-12
                 )
-        sensors = [3, 0]
-        sub = s.select(sensors)
-        for x in lags:
-            assert lag_dependence(s, x, sensors=sensors) == pytest.approx(
+        s = planted_stream(5, 13, M=4, seed=3)
+        sub = stream_of(s.values[[3, 0]])
+        for x in range(1, s.slot_count // 2 + 1):
+            assert lag_dependence(s, x, sensors=[3, 0]) == pytest.approx(
                 oracle_lag_dependence(sub, x), rel=1e-12
             )
+
+    def test_sensor_selection_validated(self):
+        s = planted_stream(4, 10, M=3)
+        with pytest.raises(ValueError):
+            lag_dependence(s, 2, sensors=[0, 0])
+        with pytest.raises(ValueError):
+            lag_dependence(s, 2, sensors=[2, -1])
+        with pytest.raises(IndexError):
+            lag_dependence(s, 2, sensors=[3])
+        with pytest.raises(EmptyInputError):
+            lag_dependence(s, 2, sensors=[])
+
+    def test_too_many_sensors(self):
+        s = planted_stream(4, 4, M=M_MAX + 1)
+        with pytest.raises(DimensionError):
+            lag_dependence(s, 2)
 
 
 class TestFindTs:
@@ -227,6 +251,14 @@ class TestLearnCbn:
         s = stream_of([[0, 1] * 10])
         with pytest.raises(PeriodRangeError):
             learn_cbn(s, LearnConfig(period=11))
+
+    def test_too_many_sensors(self):
+        # rejected up front, before any per-sensor scan or period fold
+        s = planted_stream(4, 4, M=M_MAX + 1)
+        with pytest.raises(DimensionError):
+            learn_cbn(s)
+        with pytest.raises(DimensionError):
+            learn_cbn(s, LearnConfig(period=2))
 
     def test_paper_scenario_fast_region(self):
         # single seeded run of the road simulator in the fast-speed region;
