@@ -2,8 +2,9 @@
 
 File formats:
   * observations: CSV with header ``slot,s1,...,sM``, one row per slot,
-    values strictly 0/1, plus a JSON sidecar ``<out>.meta.json`` echoing the
-    simulation config and seed;
+    values strictly 0/1, written with CRLF and read with LF or CRLF line
+    ends, plus a JSON sidecar ``<out>.meta.json`` echoing the simulation
+    config and seed;
   * model: JSON with keys format, M, T, ts_star, tp, epsilon, cpts
     ([T-1][2^M][M]), deps ([T-1][M][M], deps[t][k][i] = parent k -> child
     i) and provenance, probabilities at 12 significant digits; ``format``
@@ -30,9 +31,9 @@ from .baseline import conventional_learn
 from .cpt import DEFAULT_EPS, CliqueCPT, bbcpt
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import CbnetError
-from .observations import ObservationStream
 from .period import CbnModel, LearnConfig, learn_cbn
 from .simulator import KMH_TO_MS, Simulation, SimulationConfig
+from .stream_csv import read_stream_csv, write_stream_csv
 
 PEN_WIDTH_MIN = 0.2
 PEN_WIDTH_MAX = 4.0
@@ -44,39 +45,6 @@ MODEL_FORMAT = "cbnet-model/2"
 
 
 # ---------------------------------------------------------------- file formats
-
-def write_stream_csv(stream: ObservationStream, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slot", *stream.sensor_labels])
-        for n in range(stream.slot_count):
-            writer.writerow([n + 1, *stream.values[:, n].tolist()])
-
-
-def read_stream_csv(path: Path) -> ObservationStream:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "slot" or len(header) < 2:
-            raise ValueError(f"{path}: expected header 'slot,s1,...,sM'")
-        labels = header[1:]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: wrong column count")
-            try:
-                vals = [int(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer value") from exc
-            if any(v not in (0, 1) for v in vals):
-                raise ValueError(f"{path}:{lineno}: values must be 0 or 1")
-            rows.append(vals)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 observation rows")
-    return ObservationStream(
-        np.array(rows, dtype=np.int8).T, sensor_labels=tuple(labels)
-    )
-
 
 def _round12(table: np.ndarray) -> list:
     """Nested lists of the entries at 12 significant digits.

@@ -11,7 +11,7 @@ pairs reproduce streams bit-identically across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .errors import ConfigError, SessionBoundsError
 from .observations import ObservationStream
 
 KMH_TO_MS = 1.0 / 3.6
+
+#: (session, slot) rows marked per block by ``Simulation.run``
+_MARK_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,54 +89,113 @@ class Simulation:
         )
         return self
 
-    def _draw_users(self, rng: np.random.Generator, horizon: float):
-        """Poisson arrivals on [0, horizon); sessions drawn per user in entry order."""
+    def _draw(self, rng: np.random.Generator, horizon: float):
+        """Poisson arrivals on [0, horizon); sessions drawn per user in entry order.
+
+        Returns the columns (entry, speed), one item per user, and (owner,
+        start, end), one item per session, ``owner`` indexing the user, as
+        ``array.array`` buffers.  Every draw is one scalar call, in the
+        order of the generator's stream: ``scale * standard_exponential()``
+        and ``lo + (hi - lo) * random()`` are numpy's own arithmetic for
+        ``exponential(scale)`` and ``uniform(lo, hi)`` without their
+        argument handling.  Bulk draws would change the streams, because
+        the ziggurat exponential takes a variable number of words.
+        """
+        # imported here, not at the top: every cbnet command loads this
+        # module, and only a simulation needs the shared library
+        from array import array
+
         cfg = self.config
-        users = []
-        if cfg.arrival_rate <= 0:
-            return users
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / cfg.arrival_rate)
-            if t >= horizon:
-                break
-            speed = rng.uniform(cfg.speed_range[0], cfg.speed_range[1])
-            transit = cfg.road_length / speed
-            sessions = []
-            if cfg.traffic_rate > 0:
+        entry, speed = array("d"), array("d")
+        owner, start, end = array("q"), array("d"), array("d")
+        if cfg.arrival_rate > 0:
+            exponential, uniform = rng.standard_exponential, rng.random
+            arrival_mean = 1.0 / cfg.arrival_rate
+            v_lo, v_hi = cfg.speed_range
+            v_span = v_hi - v_lo
+            gap_mean = 1.0 / cfg.traffic_rate if cfg.traffic_rate > 0 else None
+            service_mean, road_length = cfg.service_mean, cfg.road_length
+            t = 0.0
+            while True:
+                t += arrival_mean * exponential()
+                if t >= horizon:
+                    break
+                v = v_lo + v_span * uniform()
+                user = len(entry)
+                entry.append(t)
+                speed.append(v)
+                if gap_mean is None:
+                    continue
+                transit = road_length / v
                 s = 0.0
                 while True:
-                    s += rng.exponential(1.0 / cfg.traffic_rate)
+                    s += gap_mean * exponential()
                     if s >= transit:
                         break
-                    length = rng.exponential(cfg.service_mean)
+                    length = service_mean * exponential()
                     # the session cannot outlive the user's time on the road
-                    sessions.append((t + s, t + min(s + length, transit)))
-            users.append(
-                UserState(entry_time=t, speed=speed, active_sessions=tuple(sessions))
-            )
-        return users
+                    owner.append(user)
+                    start.append(t + s)
+                    end.append(t + min(s + length, transit))
+        return entry, speed, owner, start, end
+
+    def _draw_users(self, rng: np.random.Generator, horizon: float) -> list[UserState]:
+        """The drawn users as ``UserState`` records (same draws as ``run``)."""
+        entry, speed, owner, start, end = self._draw(rng, horizon)
+        sessions = [[] for _ in range(len(entry))]
+        for user, s, e in zip(owner.tolist(), start.tolist(), end.tolist()):
+            sessions[user].append((s, e))
+        return [
+            UserState(entry_time=t, speed=v, active_sessions=tuple(ss))
+            for t, v, ss in zip(entry.tolist(), speed.tolist(), sessions)
+        ]
 
     def run(self) -> ObservationStream:
         cfg = self.config
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         n = cfg.duration_slots
         m = cfg.num_cells
-        horizon = n * cfg.sense_interval
-        cell_len = cfg.road_length / m
+        entry, speed, owner, start, end = self._draw(rng, n * cfg.sense_interval)
+        for user in self._scripted:
+            for s, e in user.active_sessions:
+                owner.append(len(entry))
+                start.append(s)
+                end.append(e)
+            entry.append(user.entry_time)
+            speed.append(user.speed)
+        owner, start, end = np.asarray(owner), np.asarray(start), np.asarray(end)
+        entry, speed = np.asarray(entry)[owner], np.asarray(speed)[owner]
 
+        # sampling instants slot * sense_interval inside [start, end]
+        first = np.maximum(np.ceil(start / cfg.sense_interval), 1).astype(np.int64)
+        last = np.minimum(np.floor(end / cfg.sense_interval), n).astype(np.int64)
+        count = np.maximum(last - first + 1, 0)
         values = np.zeros((m, n), dtype=np.int8)
-        for user in self._draw_users(rng, horizon) + self._scripted:
-            for start, end in user.active_sessions:
-                # sampling instants n*sense_interval inside [start, end]
-                first = int(np.ceil(start / cfg.sense_interval))
-                last = int(np.floor(end / cfg.sense_interval))
-                for slot in range(max(first, 1), min(last, n) + 1):
-                    tau = slot * cfg.sense_interval
-                    pos = user.speed * (tau - user.entry_time)
-                    if 0 <= pos < cfg.road_length:
-                        values[int(pos // cell_len), slot - 1] = 1
+        # sessions go in blocks of about _MARK_ROWS (session, slot) rows, so
+        # memory stays bounded however many slots the sessions cover
+        rows = np.cumsum(count)
+        lo = 0
+        while lo < count.size:
+            hi = int(np.searchsorted(rows, rows[lo] - count[lo] + _MARK_ROWS, "right"))
+            hi = max(hi, lo + 1)
+            block = slice(lo, hi)
+            _mark(values, cfg, entry[block], speed[block], first[block], count[block])
+            lo = hi
         return ObservationStream(values, slot_duration=cfg.sense_interval)
+
+
+def _mark(values, cfg, entry, speed, first, count) -> None:
+    """Set ``values[cell, slot - 1]`` for each slot a session covers on the road.
+
+    One (session, slot) row per covered slot, in one repeat/cumsum pass.
+    """
+    session = np.repeat(np.arange(count.size), count)
+    offset = np.cumsum(count) - count
+    slot = first[session] + np.arange(session.size) - offset[session]
+    pos = speed[session] * (slot * cfg.sense_interval - entry[session])
+    inside = (0 <= pos) & (pos < cfg.road_length)
+    cell = (pos[inside] // (cfg.road_length / values.shape[0])).astype(np.intp)
+    values[cell, slot[inside] - 1] = 1
 
 
 def run(config: SimulationConfig) -> ObservationStream:

@@ -90,6 +90,14 @@ class TestLearnCommand:
         bad.write_text("a,b\n1,0\n")
         assert run_cli("learn", "--input", bad, "--output", tmp_path / "m.json") != 0
 
+    def test_oversized_field_rejected(self, tmp_path, capsys):
+        # the csv module refuses fields over its 131072-char limit
+        bad = tmp_path / "bad.csv"
+        bad.write_text("slot,s1\n1,0\n2,0\n3," + "0" * 131_073 + "\n")
+        model_path = tmp_path / "model.json"
+        assert run_cli("learn", "--input", bad, "--output", model_path) == 2
+        assert not model_path.exists()
+        assert f"{bad}:4: field larger than field limit" in capsys.readouterr().err
 
     def test_too_many_sensors_rejected(self, tmp_path, capsys):
         from cbnet.cpt import M_MAX

@@ -1,5 +1,7 @@
 """Traffic simulator: scripted traces, determinism, long-run statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cbnet import (
     SimulationConfig,
     run,
 )
+from cbnet.simulator import KMH_TO_MS
 
 
 def quiet_config(slots=40, cells=3, seed=0):
@@ -140,3 +143,76 @@ class TestLongRunStatistics:
                 for u in users
             )
             assert occupied, (n, i)
+
+
+ROAD_SPEEDS = (43.2 * KMH_TO_MS, 72.0 * KMH_TO_MS)  # the benchmark's road
+SCRIPTED = (100.0, 10.0, [(101.0, 140.0), (130.0, 150.0)])
+
+
+class TestStreamDigests:
+    """SHA-256 of ``run().values.tobytes()``, recorded before any rewrite
+    of the draw loop or the slot marking: streams stay bit-identical for
+    equal (config, seed)."""
+
+    CASES = {
+        "road-seed0": (
+            SimulationConfig(duration_slots=36000, speed_range=ROAD_SPEEDS, seed=0),
+            None,
+            "78a79ce5568075ba3476f2fa450a475cbb0f50cdced2ebf58cf0c15151321358",
+        ),
+        "road-seed1": (
+            SimulationConfig(duration_slots=36000, speed_range=ROAD_SPEEDS, seed=1),
+            None,
+            "7be14e853abce07c9bfd5d5f4c18ce75f4038060111d6c9869a1f59dea5fcbb9",
+        ),
+        "road-seed2": (
+            SimulationConfig(duration_slots=36000, speed_range=ROAD_SPEEDS, seed=2),
+            None,
+            "c0853502aeb777167f52d7ea056871bfb154e316f39a5b27308ae91c733b8157",
+        ),
+        "default-speeds": (
+            SimulationConfig(duration_slots=20000, seed=3),
+            None,
+            "fe1b3fa84663a9ae624426683a33debee8e0a993789d9164a188c5649523f077",
+        ),
+        "no-traffic": (
+            SimulationConfig(duration_slots=20000, traffic_rate=0.0, seed=4),
+            SCRIPTED,
+            "024dabae9bcea740742ff31bca798cb5e383b6742899483bd34afaf63d15da18",
+        ),
+        "half-second-slots": (
+            SimulationConfig(duration_slots=20000, sense_interval=0.5, seed=5),
+            None,
+            "24420117b5ee5959276110802ad2b0aff4aa4bdbf05513e2cc2d11ab4eb00cbd",
+        ),
+        "busy-overlapping": (
+            SimulationConfig(
+                duration_slots=5000, arrival_rate=0.3, traffic_rate=0.05,
+                service_mean=5.0, seed=7,
+            ),
+            None,
+            "a1c395ddedc9019203fd6fe65b9c70f63cc7717e74f48f8ad35f7355f50fab87",
+        ),
+        "long-overlapping-sessions": (
+            SimulationConfig(
+                duration_slots=20000, arrival_rate=0.01, speed_range=(5.0, 10.0),
+                traffic_rate=1.0, service_mean=20.0, seed=8,
+            ),
+            None,
+            "fd062f15428eb9f98a3fb3ce9ef8007b760452b9e2b1aad037f052211aa08ed1",
+        ),
+        "random-plus-injected": (
+            SimulationConfig(duration_slots=20000, arrival_rate=0.5, seed=6),
+            SCRIPTED,
+            "88c1450e725abc53f9ec061e6b4e42ab575070254bb47136ed153ca53ea56094",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_digest(self, name):
+        cfg, scripted, digest = self.CASES[name]
+        sim = Simulation(cfg)
+        if scripted is not None:
+            sim.inject_user(*scripted)
+        values = sim.run().values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest

@@ -1,0 +1,184 @@
+"""Stream CSV: pinned parse results and errors, and write/read round trips."""
+
+import csv
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbnet import ObservationStream
+from cbnet.stream_csv import read_stream_csv, write_stream_csv
+
+HEADER_ERROR = ": expected header 'slot,s1,...,sM'"
+
+#: name -> (file text, (values, labels) or the message after the path)
+PINNED = {
+    "lf": ("slot,s1,s2\n1,0,1\n2,1,0\n3,1,1\n", ([[0, 1, 1], [1, 0, 1]], ("s1", "s2"))),
+    "crlf": (
+        "slot,s1,s2\r\n1,0,1\r\n2,1,0\r\n3,1,1\r\n",
+        ([[0, 1, 1], [1, 0, 1]], ("s1", "s2")),
+    ),
+    "mixed-line-ends": ("slot,s1\n1,0\r\n2,1\n", ([[0, 1]], ("s1",))),
+    "cr-line-ends": ("slot,s1\r1,0\r2,1\r", ([[0, 1]], ("s1",))),
+    "no-trailing-newline": ("slot,s1,s2\n1,0,1\n2,1,0", ([[0, 1], [1, 0]], ("s1", "s2"))),
+    "quoted-field": ('slot,s1\n1,"0"\n2,"1"\n', ([[0, 1]], ("s1",))),
+    "leading-space": ("slot,s1\n1, 0\n2,1\n", ([[0, 1]], ("s1",))),
+    "trailing-space": ("slot,s1\n1,0 \n2,1\n", ([[0, 1]], ("s1",))),
+    "plus-sign": ("slot,s1\n1,+1\n2,0\n", ([[1, 0]], ("s1",))),
+    "leading-zero": ("slot,s1\n1,01\n2,0\n", ([[1, 0]], ("s1",))),
+    "minus-zero": ("slot,s1\n1,-0\n2,1\n", ([[0, 1]], ("s1",))),
+    "slot-column-unchecked": ("slot,s1\nx,0\n9,1\n", ([[0, 1]], ("s1",))),
+    "spaced-label": ("slot, s1\n1,0\n2,1\n", ([[0, 1]], (" s1",))),
+    "quoted-label": ('slot,"a,b",c\n1,0,1\n2,1,0\n', ([[0, 1], [1, 0]], ("a,b", "c"))),
+    "bad-header": ("a,b\n1,0\n2,1\n", HEADER_ERROR),
+    "no-sensor-column": ("slot\n1\n2\n", HEADER_ERROR),
+    "empty-file": ("", HEADER_ERROR),
+    "byte-order-mark": ("﻿slot,s1\n1,0\n2,1\n", HEADER_ERROR),
+    "wrong-column-count": ("slot,s1,s2\n1,0,1\n2,1\n", ":3: wrong column count"),
+    "extra-column": ("slot,s1\n1,0\n2,1,1\n", ":3: wrong column count"),
+    "blank-line": ("slot,s1,s2\n1,0,1\n\n2,1,0\n", ":3: wrong column count"),
+    "trailing-blank-line": ("slot,s1,s2\n1,0,1\n2,1,0\n\n", ":4: wrong column count"),
+    "non-integer": ("slot,s1\n1,0\n2,banana\n", ":3: non-integer value"),
+    "empty-field": ("slot,s1\n1,\n2,1\n", ":2: non-integer value"),
+    "value-two": ("slot,s1\n1,0\n2,2\n", ":3: values must be 0 or 1"),
+    "digit-separator": ("slot,s1\n1,1_0\n2,1\n", ":2: values must be 0 or 1"),
+    "one-row": ("slot,s1\n1,0\n", ": need at least 2 observation rows"),
+    "header-only": ("slot,s1\n", ": need at least 2 observation rows"),
+    "field-over-limit": (
+        "slot,s1\n1,0\n2," + "0" * 131_073 + "\n",
+        ":3: field larger than field limit (131072)",
+    ),
+    "slot-over-limit": (
+        "slot,s1\n1,0\n" + "1" * 131_073 + ",1\n",
+        ":3: field larger than field limit (131072)",
+    ),
+    "label-over-limit": (
+        "slot," + "s" * 131_073 + "\n1,0\n2,1\n",
+        ":1: field larger than field limit (131072)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_parse(tmp_path, name):
+    text, expected = PINNED[name]
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            read_stream_csv(path)
+        assert str(info.value) == f"{path}{expected}"
+    else:
+        stream = read_stream_csv(path)
+        values, labels = expected
+        assert stream.values.dtype == np.int8
+        assert stream.values.tolist() == values
+        assert stream.sensor_labels == labels
+
+
+def test_duplicate_labels_rejected(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("slot,a,a\n1,0,1\n2,1,0\n")
+    with pytest.raises(ValueError, match="sensor_labels must be distinct"):
+        read_stream_csv(path)
+
+
+def reference_bytes(stream: ObservationStream) -> bytes:
+    """The stream CSV as ``csv.writer`` writes it, one row per slot."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["slot", *stream.sensor_labels])
+    for n in range(stream.slot_count):
+        writer.writerow([n + 1, *stream.values[:, n].tolist()])
+    return out.getvalue().encode()
+
+
+def reference_read(path: Path):
+    """Row-by-row ``csv`` parse: (values, labels), or the error message."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "slot" or len(header) < 2:
+                return f"{path}: expected header 'slot,s1,...,sM'"
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    return f"{path}:{lineno}: wrong column count"
+                try:
+                    vals = [int(v) for v in row[1:]]
+                except ValueError:
+                    return f"{path}:{lineno}: non-integer value"
+                if any(v not in (0, 1) for v in vals):
+                    return f"{path}:{lineno}: values must be 0 or 1"
+                rows.append(vals)
+        except csv.Error as exc:
+            return f"{path}:{reader.line_num}: {exc}"
+    if len(rows) < 2:
+        return f"{path}: need at least 2 observation rows"
+    if len(set(header[1:])) != len(header) - 1:
+        return "sensor_labels must be distinct"
+    return np.array(rows, dtype=np.int8).T.tolist(), tuple(header[1:])
+
+
+def outcome(path: Path):
+    try:
+        stream = read_stream_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return stream.values.tolist(), stream.sensor_labels
+
+
+streams = st.builds(
+    lambda m, n, p, seed: (
+        np.random.default_rng(seed).random((m, n)) < p
+    ).astype(np.int8),
+    st.integers(1, 6),
+    st.integers(2, 300),
+    st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+labels = st.lists(
+    st.text(alphabet='s1 ,"x', min_size=1, max_size=3), min_size=6, max_size=6,
+    unique=True,
+)
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(values=streams, names=st.none() | labels)
+    def test_write_matches_csv_writer_and_reads_back(self, values, names):
+        names = tuple(names[: values.shape[0]]) if names else ()
+        stream = ObservationStream(values, sensor_labels=names)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            write_stream_csv(stream, path)
+            assert path.read_bytes() == reference_bytes(stream)
+            back = read_stream_csv(path)
+        assert np.array_equal(back.values, stream.values)
+        assert back.values.dtype == np.int8
+        assert back.sensor_labels == stream.sensor_labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=streams,
+        crlf=st.booleans(),
+        edits=st.lists(
+            st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(b'01 2,\r\n"+x')),
+            max_size=3,
+        ),
+    )
+    def test_edited_files_read_as_the_csv_parser_reads_them(self, values, crlf, edits):
+        raw = bytearray(reference_bytes(ObservationStream(values)))
+        if not crlf:
+            raw = bytearray(raw.replace(b"\r\n", b"\n"))
+        for where, byte in edits:
+            raw[int(where * len(raw))] = byte
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(bytes(raw))
+            assert outcome(path) == reference_read(path)
