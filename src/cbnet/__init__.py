@@ -14,7 +14,6 @@ from .baseline import CmiScores, cmi_edge, conventional_learn
 from .cpt import (
     DEFAULT_EPS,
     CliqueCPT,
-    ConditionMatrix,
     bbcpt,
     condition_matrix,
     counting_oracle,
@@ -54,7 +53,7 @@ from .period import (
     paper_period,
     resolve_period,
 )
-from .simulator import Simulation, SimulationConfig, UserState, run
+from .simulator import Simulation, SimulationConfig, run
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "CbnetError",
     "CliqueCPT",
     "CmiScores",
-    "ConditionMatrix",
     "ConfigError",
     "DEFAULT_EPS",
     "DependenceMatrix",
@@ -84,7 +82,6 @@ __all__ = [
     "ShapeMismatchError",
     "Simulation",
     "SimulationConfig",
-    "UserState",
     "bbcpt",
     "cmi_edge",
     "condition_matrix",

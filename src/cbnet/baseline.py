@@ -15,7 +15,6 @@ the benchmark output and README.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,6 @@ class CmiScores:
     #: scores[k, i] = I(child i ; parent k | other parents), 0-based: parent
     #: row, child column, as in ``DependenceMatrix.D``
     scores: np.ndarray = field(repr=False)
-    elapsed: float = 0.0
 
 
 def cmi_edge(parent, child, k: int, i: int) -> float:
@@ -86,11 +84,9 @@ def conventional_learn(parent, child) -> CmiScores:
     parent, child = _check_pair(parent, child)
     M = parent.shape[0]
     scores = np.zeros((M, M))
-    start = time.perf_counter()
     for k in range(1, M + 1):
         for i in range(1, M + 1):
             scores[k - 1, i - 1] = cmi_edge(parent, child, k, i)
-    elapsed = time.perf_counter() - start
     # plug-in CMI is a KL divergence, so only float error dips below zero
     scores = np.where((scores < 0) & (scores > -1e-12), 0.0, scores)
-    return CmiScores(M=M, scores=scores, elapsed=elapsed)
+    return CmiScores(M=M, scores=scores)

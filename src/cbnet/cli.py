@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import conventional_learn
-from .cpt import DEFAULT_EPS, CliqueCPT, bbcpt
+from .cpt import DEFAULT_EPS, M_MAX, CliqueCPT, bbcpt
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import CbnetError
 from .period import CbnModel, LearnConfig, learn_cbn
@@ -104,7 +104,30 @@ def write_matrix_csv(table: np.ndarray, path) -> None:
         fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
+def _model_tables(doc: dict, key: str, count: int, shape: tuple) -> list:
+    """``doc[key]`` as ``count`` float64 arrays of one shape, else ValueError.
+
+    Each clique is converted on its own: one array of all cliques would
+    cost a third more memory while numpy finds its shape.
+    """
+    try:
+        tables = [np.array(table, dtype=np.float64) for table in doc[key]]
+    except (TypeError, ValueError):
+        tables = None
+    if tables is None or len(tables) != count or any(
+            table.shape != shape for table in tables):
+        raise ValueError(f"model field '{key}' is not a {(count, *shape)} array")
+    return tables
+
+
 def model_from_dict(doc: dict) -> CbnModel:
+    """The model of a parsed model file; its fields are checked first.
+
+    M must be an integer in [1, M_MAX] and T one >= 1; cpts must be
+    (T-1) x 2^M x M with every entry in (0, 1), and deps (T-1) x M x M
+    with every entry finite and >= 0.  Anything else is a ValueError that
+    names the field.
+    """
     for key in ("M", "T", "cpts", "deps"):
         if key not in doc:
             raise ValueError(f"model file missing field '{key}'")
@@ -113,25 +136,25 @@ def model_from_dict(doc: dict) -> CbnModel:
             f"model format {doc.get('format')!r} is not {MODEL_FORMAT!r}; "
             "files without it store deps child-first, so learn the model again"
         )
-    eps = doc.get("epsilon", DEFAULT_EPS)
-    cpts = tuple(
-        CliqueCPT(
-            M=doc["M"],
-            B=np.array(b, dtype=np.float64),
-            counts=np.zeros(2 ** doc["M"], dtype=np.int64),
-            eps=eps,
-        )
-        for b in doc["cpts"]
-    )
-    deps = tuple(
-        DependenceMatrix(M=doc["M"], D=np.array(d, dtype=np.float64))
-        for d in doc["deps"]
-    )
+    m, period = doc["M"], doc["T"]
+    if type(m) is not int or not 1 <= m <= M_MAX:
+        raise ValueError(f"model field 'M' is {m!r}, not an integer in [1, {M_MAX}]")
+    if type(period) is not int or period < 1:
+        raise ValueError(f"model field 'T' is {period!r}, not an integer >= 1")
+    # min and max are NaN if any entry is, and then fail both tests
+    cpts = _model_tables(doc, "cpts", period - 1, (2**m, m))
+    if not all(B.min() > 0 and B.max() < 1 for B in cpts):
+        raise ValueError("model field 'cpts' has an entry outside (0, 1)")
+    deps = _model_tables(doc, "deps", period - 1, (m, m))
+    if not all(D.min() >= 0 and np.isfinite(D.max()) for D in deps):
+        raise ValueError("model field 'deps' has a negative or non-finite entry")
     return CbnModel(
-        M=doc["M"],
-        period=doc["T"],
-        cpts=cpts,
-        deps=deps,
+        M=m,
+        period=period,
+        cpts=tuple(
+            CliqueCPT(M=m, B=B, counts=np.zeros(2**m, dtype=np.int64)) for B in cpts
+        ),
+        deps=tuple(DependenceMatrix(M=m, D=D) for D in deps),
         estimate=None,
         provenance=doc.get("provenance", {}),
     )
@@ -234,27 +257,15 @@ def cmd_bench(args) -> int:
         print(f"bad --M '{args.M}', expected comma-separated integers", file=sys.stderr)
         return 2
 
-    results = []
-    if args.parallel and len(m_list) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor() as pool:
-            futures = [
-                pool.submit(_bench_one_m, m, args.N, args.seed, args.repeat,
-                            args.timeout_secs)
-                for m in m_list
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _bench_one_m(m, args.N, args.seed, args.repeat, args.timeout_secs)
-            for m in m_list
-        ]
+    results = [
+        _bench_one_m(m, args.N, args.seed, args.repeat, args.timeout_secs)
+        for m in m_list
+    ]
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "N", "method", "trial", "elapsed_secs"])
-        for (records, _), m in zip(results, m_list):
+        for records, _ in results:
             for rec in records:
                 writer.writerow([rec[0], rec[1], rec[2], rec[3], f"{rec[4]:.6g}"])
         for (_, ratio), m in zip(results, m_list):
@@ -341,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout-secs", type=float, default=None)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 

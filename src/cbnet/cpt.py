@@ -23,13 +23,6 @@ M_MAX = 20
 #: sentinel for oracle entries whose parent pattern never occurs
 UNDEFINED = -1.0
 
-@dataclass(frozen=True)
-class ConditionMatrix:
-    """2^M x M enumeration of parent patterns, row x = binary of x (MSB first)."""
-
-    M: int
-    rows: np.ndarray = field(repr=False)
-
 
 @dataclass(frozen=True)
 class CliqueCPT:
@@ -42,7 +35,6 @@ class CliqueCPT:
     M: int
     B: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
-    eps: float = DEFAULT_EPS
     #: pre-clamp conditionals (unseen rows still 0.5); kept for oracle checks
     B_raw: np.ndarray | None = field(default=None, repr=False)
 
@@ -53,12 +45,12 @@ def check_sensor_count(M: int) -> None:
         raise DimensionError(f"sensor count {M} outside [1, {M_MAX}]")
 
 
-def condition_matrix(M: int) -> ConditionMatrix:
-    """All 2^M parent patterns; row x is the M-bit binary encoding of x."""
+def condition_matrix(M: int) -> np.ndarray:
+    """All 2^M parent patterns, 2^M x M; row x is the M-bit binary of x (MSB first)."""
     check_sensor_count(M)
     x = np.arange(2**M, dtype=np.int64)[:, None]
     shifts = np.arange(M - 1, -1, -1, dtype=np.int64)[None, :]
-    return ConditionMatrix(M=M, rows=((x >> shifts) & 1).astype(np.int8))
+    return ((x >> shifts) & 1).astype(np.int8)
 
 
 def _frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
@@ -98,35 +90,24 @@ def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:
     return (np.rint(agree).astype(np.int64)) // M
 
 
-def condition_codes(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Condition index of every column of an M x ... binary array (MSB first).
-
-    Builds the int64 codes row by row from the frames in their own dtype,
-    so int8 frames are never copied to int64 as a whole.  With ``out`` the
-    bits are shifted in below its existing contents: a prefilled phase t
-    gives t * 2^M + code.
-    """
-    rows = np.asarray(rows)
-    if rows.dtype.kind not in "biu":
-        rows = rows.astype(np.int64)
-    codes = np.zeros(rows.shape[1:], dtype=np.int64) if out is None else out
-    for row in rows:
-        codes <<= 1
-        codes += row
-    return codes
-
-
 def clique_keys(parent: np.ndarray) -> np.ndarray:
     """(K, S) keys s * 2^M + condition index of frame k of clique s.
 
-    ``parent`` holds M x K x S frames.  Each key is built straight from the
-    frames, so every clique's patterns land in their own 2^M bins.
+    ``parent`` holds M x K x S frames.  Each key starts as the clique
+    number s, and the frame's bits are shifted in below it, MSB first, one
+    sensor row at a time, so every clique's patterns land in their own 2^M
+    bins and int8 frames are never copied to int64 as a whole.
     """
     M, K, S = parent.shape
     check_sensor_count(M)
+    if parent.dtype.kind not in "biu":
+        parent = parent.astype(np.int64)
     keys = np.empty((K, S), dtype=np.int64)
     keys[:] = np.arange(S)
-    return condition_codes(parent, out=keys)
+    for row in parent:
+        keys <<= 1
+        keys += row
+    return keys
 
 
 def child_counts(keys: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray:
@@ -186,7 +167,7 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     parent, child = _frames(parent, child)
     B, raw, counts = stacked_cpts(parent[..., None], child[..., None], eps)
     M = parent.shape[0]
-    return CliqueCPT(M=M, B=B[0], counts=counts[0], eps=eps, B_raw=raw[0])
+    return CliqueCPT(M=M, B=B[0], counts=counts[0], B_raw=raw[0])
 
 
 def counting_oracle(parent, child) -> tuple[np.ndarray, np.ndarray]:

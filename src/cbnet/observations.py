@@ -34,7 +34,6 @@ class ObservationStream:
     """M binary sensor rows over N_raw synchronous time slots."""
 
     values: np.ndarray
-    slot_duration: float = 1.0
     sensor_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class ObservationStream:
             raise ValueError("sensor_labels length must equal the sensor count")
         if len(set(labels)) != len(labels):
             raise ValueError("sensor_labels must be distinct")
-        if self.slot_duration <= 0:
-            raise ValueError("slot_duration must be positive")
         object.__setattr__(self, "sensor_labels", labels)
 
     @property
@@ -60,15 +57,6 @@ class ObservationStream:
     @property
     def slot_count(self) -> int:
         return self.values.shape[1]
-
-    def select(self, sensors) -> "ObservationStream":
-        """Substream restricted to the given 0-based sensor indices."""
-        idx = list(sensors)
-        return ObservationStream(
-            self.values[idx],
-            slot_duration=self.slot_duration,
-            sensor_labels=tuple(self.sensor_labels[i] for i in idx),
-        )
 
 
 @dataclass(frozen=True)

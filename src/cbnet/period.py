@@ -75,16 +75,15 @@ _NULL_CAP = 2.0 * math.log(2.0)
 
 @dataclass(frozen=True)
 class PeriodEstimate:
-    """How ``find_null_period`` settled on t_star.
+    """How ``find_null_period`` settled on the period.
 
     ts_star is the first lag at the null and tp the first one confirmed at
-    its multiples, which is t_star; ts_star < tp means that an earlier lag
-    repeated every phase but failed at a multiple.
+    its multiples, which is the learned period; ts_star < tp means that an
+    earlier lag repeated every phase but failed at a multiple.
     """
 
     ts_star: int
     tp: int
-    t_star: int
 
 
 @dataclass(frozen=True)
@@ -133,7 +132,7 @@ def lag_dependence(
     """
     values = stream.values
     if sensors is not None:
-        # the checks of ``stream.select`` without re-validating the copy
+        # the selection must be non-empty, in range and without repeats
         idx = list(sensors)
         if not idx:
             raise EmptyInputError("no sensors selected")
@@ -355,18 +354,15 @@ def first_spectral_peak(spectrum: np.ndarray) -> int | None:
 
 def harmonic_period(p_f: float, ts_star: int) -> int | None:
     """Largest integer harmonic round(p_f / n) below ts_star (and >= 1)."""
-    best = None
+    if ts_star <= 1:
+        return None  # no harmonic is admissible
     n = 1
     while True:
         v = math.floor(p_f / n + 0.5)  # round half up, deterministically
-        if v < 1:
-            break
         if v < ts_star:
-            best = v if best is None else max(best, v)
             # harmonics only shrink from here; the first admissible is maximal
-            break
+            return v if v >= 1 else None
         n += 1
-    return best
 
 
 def find_tp(
@@ -467,26 +463,26 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
     estimate = None
 
     if config.period is not None:
-        t_star = int(config.period)
-        if not 1 <= t_star <= stream.slot_count // 2:
+        period = int(config.period)
+        if not 1 <= period <= stream.slot_count // 2:
             raise PeriodRangeError(
-                f"period override {t_star} outside [1, {stream.slot_count // 2}]"
+                f"period override {period} outside [1, {stream.slot_count // 2}]"
             )
     else:
-        first, t_star = find_null_period(stream)
-        estimate = PeriodEstimate(ts_star=first, tp=t_star, t_star=t_star)
+        first, period = find_null_period(stream)
+        estimate = PeriodEstimate(ts_star=first, tp=period)
 
-    if stream.slot_count < 4 * t_star:
+    if stream.slot_count < 4 * period:
         warnings.warn(
             f"stream of {stream.slot_count} slots is short for period "
-            f"{t_star}; estimates may be unstable",
+            f"{period}; estimates may be unstable",
             stacklevel=2,
         )
 
-    folded = fold(stream, t_star)
+    folded = fold(stream, period)
     cpts = []
     deps = []
-    for t in range(1, t_star):
+    for t in range(1, period):
         parent, child = frame_pair(folded, t, circular=False)
         cpt = bbcpt(parent, child, eps=eps)
         cpts.append(cpt)
@@ -500,7 +496,7 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
     }
     return CbnModel(
         M=m,
-        period=t_star,
+        period=period,
         cpts=tuple(cpts),
         deps=tuple(deps),
         estimate=estimate,

@@ -50,23 +50,12 @@ class SimulationConfig:
             raise ConfigError("service_mean and sense_interval must be positive")
 
 
-@dataclass(frozen=True)
-class UserState:
-    entry_time: float
-    speed: float
-    #: absolute (start, end) second intervals; may overlap each other
-    active_sessions: tuple[tuple[float, float], ...]
-
-    def exit_time(self, road_length: float) -> float:
-        return self.entry_time + road_length / self.speed
-
-
 class Simulation:
     """One seeded realization of the scenario; build, optionally inject, run."""
 
     def __init__(self, config: SimulationConfig):
         self.config = config
-        self._scripted: list[UserState] = []
+        self._scripted: list[tuple] = []  # (entry, speed, sessions) per user
 
     def inject_user(self, entry_time: float, speed: float, sessions) -> "Simulation":
         """Add a fully scripted user (test hook bypassing all random draws)."""
@@ -80,13 +69,8 @@ class Simulation:
                     f"session ({start}, {end}) outside traversal "
                     f"[{entry_time}, {entry_time + transit}]"
                 )
-        self._scripted.append(
-            UserState(
-                entry_time=float(entry_time),
-                speed=float(speed),
-                active_sessions=tuple((float(s), float(e)) for s, e in sessions),
-            )
-        )
+        sessions = tuple((float(s), float(e)) for s, e in sessions)
+        self._scripted.append((float(entry_time), float(speed), sessions))
         return self
 
     def _draw(self, rng: np.random.Generator, horizon: float):
@@ -139,30 +123,19 @@ class Simulation:
                     end.append(t + min(s + length, transit))
         return entry, speed, owner, start, end
 
-    def _draw_users(self, rng: np.random.Generator, horizon: float) -> list[UserState]:
-        """The drawn users as ``UserState`` records (same draws as ``run``)."""
-        entry, speed, owner, start, end = self._draw(rng, horizon)
-        sessions = [[] for _ in range(len(entry))]
-        for user, s, e in zip(owner.tolist(), start.tolist(), end.tolist()):
-            sessions[user].append((s, e))
-        return [
-            UserState(entry_time=t, speed=v, active_sessions=tuple(ss))
-            for t, v, ss in zip(entry.tolist(), speed.tolist(), sessions)
-        ]
-
     def run(self) -> ObservationStream:
         cfg = self.config
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
         n = cfg.duration_slots
         m = cfg.num_cells
         entry, speed, owner, start, end = self._draw(rng, n * cfg.sense_interval)
-        for user in self._scripted:
-            for s, e in user.active_sessions:
+        for t, v, sessions in self._scripted:
+            for s, e in sessions:
                 owner.append(len(entry))
                 start.append(s)
                 end.append(e)
-            entry.append(user.entry_time)
-            speed.append(user.speed)
+            entry.append(t)
+            speed.append(v)
         owner, start, end = np.asarray(owner), np.asarray(start), np.asarray(end)
         entry, speed = np.asarray(entry)[owner], np.asarray(speed)[owner]
 
@@ -181,7 +154,7 @@ class Simulation:
             block = slice(lo, hi)
             _mark(values, cfg, entry[block], speed[block], first[block], count[block])
             lo = hi
-        return ObservationStream(values, slot_duration=cfg.sense_interval)
+        return ObservationStream(values)
 
 
 def _mark(values, cfg, entry, speed, first, count) -> None:

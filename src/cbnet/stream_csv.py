@@ -1,4 +1,8 @@
-"""The stream CSV: a ``slot,s1,...,sM`` header, then one row of 0/1 per slot."""
+"""The stream CSV: a ``slot,s1,...,sM`` header, then one row of 0/1 per slot.
+
+Row j (1-based) holds slot j: its slot field is the decimal j, so a dropped,
+repeated or reordered row is an error, not a shift of every later slot.
+"""
 
 from __future__ import annotations
 
@@ -15,6 +19,8 @@ _CSV_BLOCK_ROWS = 1 << 16
 
 #: a header that ``csv`` splits at every comma: printable ASCII, no quotes
 _PLAIN_HEADER = re.compile(rb"slot,[ !#-~]*")
+
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
 def write_stream_csv(stream: ObservationStream, path: Path) -> None:
@@ -47,10 +53,11 @@ def _parse_plain(data: bytes):
     """(labels, values) of a stream CSV in the plain layout, else None.
 
     Plain: a ``slot,<labels>`` header of printable ASCII without quotes,
-    then at least two lines ``<digits>,<b>,...,<b>`` with each b 0 or 1,
-    every line ended by LF or CRLF, none longer than ``csv``'s field
-    limit.  ``csv`` reads such a file to the same stream.  Only uint8 and
-    bool arrays span the bytes; the rest are one item per line.
+    then at least two lines ``<j>,<b>,...,<b>``, line j holding slot j
+    and each b 0 or 1, every line ended by LF or CRLF, the lines of one
+    slot width all ended alike, none longer than ``csv``'s field limit.
+    ``csv`` reads such a file to the same stream.  Only uint8 and bool
+    arrays span the bytes; the rest are one item per line.
     """
     head_end = data.find(b"\n")
     header = data[:head_end].removesuffix(b"\r")
@@ -77,11 +84,24 @@ def _parse_plain(data: bytes):
         if not (body[comma] == ord(",")).all() or (bit > 1).any():
             return None
         values[k] = bit
-    # the commas, CRs and LFs found above are the only non-digits, so
-    # every slot field is all digits
-    non_digits = np.count_nonzero(body < ord("0")) + np.count_nonzero(body > ord("9"))
-    if non_digits != ends.size * (m + 1) + np.count_nonzero(crlf):
-        return None
+    # line j holds slot j.  The lines of the w-digit slots lo..hi-1 have
+    # equal lengths, so they form one uint8 matrix, and the digit of place
+    # 10^q of lo, lo+1, ... runs through 0-9, each 10^q times, from 0
+    # (from 1 for the leading digit)
+    for w in range(1, len(str(ends.size)) + 1):
+        lo, hi = 10 ** (w - 1), min(10**w, ends.size + 1)
+        lines = slice(lo - 1, hi - 1)
+        if ((stop[lines] - starts[lines] != w + 2 * m).any()
+                or crlf[lines].min() != crlf[lines].max()):
+            return None
+        size = w + 2 * m + 1 + int(crlf[lo - 1])
+        first = starts[lo - 1]
+        rows = body[first:first + size * (hi - lo)].reshape(hi - lo, size)
+        for q in range(w):
+            cycle = np.repeat(_DIGITS, 10**q)[10**q if q == w - 1 else 0:]
+            expected = np.tile(cycle, -(-(hi - lo) // cycle.size))[:hi - lo]
+            if (rows[:, w - 1 - q] != expected).any():
+                return None
     return labels, values
 
 
@@ -97,6 +117,10 @@ def _parse_rows(path: Path):
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     raise ValueError(f"{path}:{lineno}: wrong column count")
+                if row[0] != str(lineno - 1):
+                    raise ValueError(
+                        f"{path}:{lineno}: slot {row[0]}, expected {lineno - 1}"
+                    )
                 try:
                     vals = [int(v) for v in row[1:]]
                 except ValueError as exc:
@@ -117,7 +141,8 @@ def read_stream_csv(path: Path) -> ObservationStream:
     Files in the plain layout that ``write_stream_csv`` and
     ``np.savetxt`` produce, with LF or CRLF line ends, are parsed by numpy
     over the file's bytes.  Every other file goes through ``csv`` row by
-    row, the one source of error messages.
+    row, the one source of error messages; a row whose slot field is not
+    its 1-based row number is one.
     """
     parsed = _parse_plain(Path(path).read_bytes())
     labels, values = parsed if parsed is not None else _parse_rows(path)

@@ -64,7 +64,7 @@ class TestConventionalLearn:
         parent = np.array([[1, 1, 0, 0], [1, 0, 1, 0]])
         child = np.array([[1, 0, 1, 0], [0, 1, 1, 1]])
         scores = conventional_learn(parent, child)
-        assert scores.M == 2 and scores.elapsed > 0
+        assert scores.M == 2
         for i in (1, 2):
             for k in (1, 2):
                 assert scores.scores[i - 1, k - 1] == pytest.approx(

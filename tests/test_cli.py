@@ -173,6 +173,53 @@ class TestExportCommand:
         assert not dot.exists()
         assert "format" in capsys.readouterr().err
 
+    @staticmethod
+    def small_model(**fields):
+        """A valid M=2, T=3 model document, with ``fields`` replaced."""
+        doc = {
+            "format": "cbnet-model/2", "M": 2, "T": 3,
+            "cpts": [[[0.5, 0.25]] * 4] * 2,
+            "deps": [[[1.0, 0.5], [0.0, 1.0]]] * 2,
+        }
+        doc.update(fields)
+        return doc
+
+    @pytest.mark.parametrize("field, value", [
+        ("deps", [[[1.0, 0.0]]] * 2),  # 1 x 2 matrices: was an IndexError
+        ("cpts", 5),  # was a TypeError
+        ("cpts", [[[0.5, 0.5]] * 3] * 2),  # 3 rows where 2^M = 4: was exported
+        ("cpts", [[[0.5, 0.5]] * 4]),  # one clique where T - 1 = 2
+        ("cpts", [[[0.5, 1.0]] * 4] * 2),
+        ("cpts", [[[0.5, None]] * 4] * 2),
+        ("deps", [[[1.0, -0.5], [0.0, 1.0]]] * 2),
+        ("deps", [[[1.0, float("inf")], [0.0, 1.0]]] * 2),
+        ("M", 0),
+        ("M", 21),
+        ("M", "2"),
+        ("M", True),
+        ("T", 0),
+        ("T", 3.0),
+    ])
+    def test_malformed_model_rejected(self, tmp_path, capsys, field, value):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.small_model(**{field: value})))
+        dot, mats = tmp_path / "g.dot", tmp_path / "mats"
+        code = run_cli("export", "--model", path, "--dot", dot, "--csv-dir", mats)
+        assert code == 2
+        assert not dot.exists() and not mats.exists()
+        assert f"model field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, edges", [
+        ({}, 8),
+        ({"T": 1, "cpts": [], "deps": []}, 0),  # one phase, no clique
+    ])
+    def test_well_formed_model_exported(self, tmp_path, fields, edges):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.small_model(**fields)))
+        dot = tmp_path / "g.dot"
+        assert run_cli("export", "--model", path, "--dot", dot) == 0
+        assert dot.read_text().count(" -> ") == edges
+
     def test_missing_model_field(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps({"M": 3, "T": 8, "cpts": []}))
@@ -196,12 +243,6 @@ class TestBenchCommand:
                        "--timeout-secs", 1e-9, "--out", out) == 0
         lines = out.read_text().splitlines()
         assert any(",-1" in l for l in lines)
-
-    def test_parallel_matches_row_count(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert run_cli("bench", "--M", "2,3", "--N", 4000, "--repeat", 2,
-                       "--parallel", "--out", out) == 0
-        assert len(out.read_text().splitlines()) == 1 + 8 + 2
 
 
 class TestModelJson:

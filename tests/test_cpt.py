@@ -25,26 +25,26 @@ def random_pair(M, K, seed, p=0.5, q=0.5):
 
 class TestConditionMatrix:
     def test_m2(self):
-        assert condition_matrix(2).rows.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert condition_matrix(2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_m1(self):
-        assert condition_matrix(1).rows.tolist() == [[0], [1]]
+        assert condition_matrix(1).tolist() == [[0], [1]]
 
     def test_m3_is_binary_count(self):
-        rows = condition_matrix(3).rows
+        rows = condition_matrix(3)
         for x in range(8):
             assert rows[x].tolist() == [(x >> 2) & 1, (x >> 1) & 1, x & 1]
 
     def test_floor_mod_formula(self):
         # entry [x, M-i+1] = floor(x / 2^(i-1)) mod 2 (1-based columns)
         for M in (1, 2, 4):
-            rows = condition_matrix(M).rows
+            rows = condition_matrix(M)
             for x in range(2**M):
                 for i in range(1, M + 1):
                     assert rows[x, M - i] == (x // 2 ** (i - 1)) % 2
 
     def test_rows_distinct_and_extremes(self):
-        rows = condition_matrix(4).rows
+        rows = condition_matrix(4)
         assert len({tuple(r) for r in rows.tolist()}) == 16
         assert not rows[0].any() and rows[-1].all()
 
@@ -97,7 +97,7 @@ class TestBbcpt:
         for seed in range(20):
             M = seed % 6 + 1
             parent, child = random_pair(M, 311, seed, p=0.3)
-            C = condition_matrix(M).rows.astype(np.int64)
+            C = condition_matrix(M).astype(np.int64)
             nom = match_indicator(C, parent.astype(np.int64))
             counts = nom.sum(axis=1)
             num = nom @ child.astype(np.int64).T
@@ -120,7 +120,7 @@ class TestMatchIndicator:
     def test_each_frame_matches_one_row(self):
         for M in (1, 2, 3, 5):
             parent, _ = random_pair(M, 100, M)
-            C = condition_matrix(M).rows.astype(np.int64)
+            C = condition_matrix(M).astype(np.int64)
             nom = match_indicator(C, parent.astype(np.int64))
             assert (nom.sum(axis=0) == 1).all()
             # row sums are the pattern counts
@@ -128,7 +128,7 @@ class TestMatchIndicator:
 
     def test_matches_equality_semantics(self):
         parent, _ = random_pair(4, 64, 5)
-        C = condition_matrix(4).rows.astype(np.int64)
+        C = condition_matrix(4).astype(np.int64)
         nom = match_indicator(C, parent.astype(np.int64))
         for k in range(64):
             x = int("".join(map(str, parent[:, k])), 2)
@@ -176,7 +176,7 @@ class TestPermutationEquivariance:
         permuted = bbcpt(parent[perm], child[perm])
         # condition row x of the permuted instance is row sigma(x) of the
         # base instance under the induced bit permutation
-        C = condition_matrix(M).rows
+        C = condition_matrix(M)
         for x in range(2**M):
             bits = C[x]
             orig_bits = np.empty(M, dtype=np.int8)

@@ -140,7 +140,7 @@ class TestCpbdClique:
         eps = 1e-3
         for M in (1, 2, 3):
             B = np.where(np.random.default_rng(M).random((2**M, M)) < 0.5, eps, 1 - eps)
-            cpt = CliqueCPT(M=M, B=B, counts=np.ones(2**M, dtype=np.int64), eps=eps)
+            cpt = CliqueCPT(M=M, B=B, counts=np.ones(2**M, dtype=np.int64))
             bound = 2**M * abs(np.log(eps / (1 - eps)))
             assert (cpbd_clique(cpt).D <= bound + 1e-9).all()
 

@@ -13,6 +13,7 @@ from cbnet import (
     LearnConfig,
     NoPeakError,
     ObservationStream,
+    PeriodEstimate,
     PeriodRangeError,
     dft_magnitude,
     find_tp,
@@ -70,7 +71,7 @@ def oracle_lag_dependence(stream, x, eps=1e-3):
         parent, child = col[:, :-1], col[:, 1:]
         B, counts = counting_oracle(parent, child)
         Bc = np.where(counts[:, None] > 0, np.clip(B, eps, 1 - eps), 0.5)
-        cpt = CliqueCPT(M=m, B=Bc, counts=counts, eps=eps)
+        cpt = CliqueCPT(M=m, B=Bc, counts=counts)
         for i in range(1, m + 1):
             for k in range(1, m + 1):
                 total += direct_cpbd(cpt, i, k)
@@ -428,6 +429,20 @@ class TestFindNullPeriod:
         assert len(calls) == len(set(calls))
         # the period and its multiples needed the surrogate null
         assert {(6, False), (12, False), (18, False)} <= set(calls)
+
+    def test_multiple_rejects_an_early_null(self):
+        # period 4, but lag 3 reads the pattern 1100 as 1001 1001 ...,
+        # whose consecutive pairs are uniform, so lag 3 is at the null;
+        # lag 6 reads it as 1010 ..., so the 2x confirmation rejects 3
+        rng = np.random.default_rng([11, 4, 2, 4, 5])
+        while True:
+            base = rng.integers(0, 2, (2, 4))
+            if 0 < base.sum() < base.size and len({tuple(c) for c in base.T}) > 1:
+                break
+        assert base.tolist() == [[1, 1, 1, 1], [1, 1, 0, 0]]
+        tiled = np.tile(base, 6000)
+        s = stream_of(tiled ^ (rng.random(tiled.shape) < 0.05))
+        assert learn_cbn(s).estimate == PeriodEstimate(ts_star=3, tp=4)
 
 
 def held_out_stream(T, M, pattern_seed, noise_seed, reps=2000):

@@ -115,12 +115,11 @@ class TestLongRunStatistics:
         )
         sim = Simulation(cfg)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        users = sim._draw_users(rng, cfg.duration_slots * cfg.sense_interval)
+        entry, speed, *_ = sim._draw(rng, cfg.duration_slots * cfg.sense_interval)
         v_bar = 36.0
         expect = cfg.arrival_rate * (cfg.road_length / cfg.num_cells) / v_bar
         # count users in cell 1 at each sampling instant
-        entries = np.array([u.entry_time for u in users])
-        speeds = np.array([u.speed for u in users])
+        entries, speeds = np.asarray(entry), np.asarray(speed)
         count = 0
         taus = np.arange(1, cfg.duration_slots + 1, 50)
         for tau in taus:
@@ -133,15 +132,14 @@ class TestLongRunStatistics:
         cfg = SimulationConfig(duration_slots=2000, seed=23)
         sim = Simulation(cfg)
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        users = sim._draw_users(rng, cfg.duration_slots * cfg.sense_interval)
+        entry, speed, *_ = sim._draw(rng, cfg.duration_slots * cfg.sense_interval)
+        entry, speed = np.asarray(entry), np.asarray(speed)
         v = sim.run().values
         cell_len = cfg.road_length / cfg.num_cells
         for slot in np.argwhere(v.T):
             n, i = int(slot[0]) + 1, int(slot[1])
-            occupied = any(
-                0 <= u.speed * (n - u.entry_time) - i * cell_len < cell_len
-                for u in users
-            )
+            pos = speed * (n - entry) - i * cell_len
+            occupied = ((0 <= pos) & (pos < cell_len)).any()
             assert occupied, (n, i)
 
 

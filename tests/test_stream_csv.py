@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbnet import ObservationStream
-from cbnet.stream_csv import read_stream_csv, write_stream_csv
+from cbnet.stream_csv import _parse_plain, read_stream_csv, write_stream_csv
 
 HEADER_ERROR = ": expected header 'slot,s1,...,sM'"
 
@@ -31,7 +31,11 @@ PINNED = {
     "plus-sign": ("slot,s1\n1,+1\n2,0\n", ([[1, 0]], ("s1",))),
     "leading-zero": ("slot,s1\n1,01\n2,0\n", ([[1, 0]], ("s1",))),
     "minus-zero": ("slot,s1\n1,-0\n2,1\n", ([[0, 1]], ("s1",))),
-    "slot-column-unchecked": ("slot,s1\nx,0\n9,1\n", ([[0, 1]], ("s1",))),
+    "slot-column-unchecked": ("slot,s1\nx,0\n9,1\n", ":2: slot x, expected 1"),
+    "dropped-row": ("slot,s1\n1,0\n3,1\n4,0\n", ":3: slot 3, expected 2"),
+    "repeated-row": ("slot,s1\n1,0\n1,0\n2,1\n", ":3: slot 1, expected 2"),
+    "swapped-rows": ("slot,s1\n2,1\n1,0\n3,1\n", ":2: slot 2, expected 1"),
+    "slot-leading-zero": ("slot,s1\n01,0\n2,1\n", ":2: slot 01, expected 1"),
     "spaced-label": ("slot, s1\n1,0\n2,1\n", ([[0, 1]], (" s1",))),
     "quoted-label": ('slot,"a,b",c\n1,0,1\n2,1,0\n', ([[0, 1], [1, 0]], ("a,b", "c"))),
     "bad-header": ("a,b\n1,0\n2,1\n", HEADER_ERROR),
@@ -109,6 +113,8 @@ def reference_read(path: Path):
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
                     return f"{path}:{lineno}: wrong column count"
+                if row[0] != str(lineno - 1):
+                    return f"{path}:{lineno}: slot {row[0]}, expected {lineno - 1}"
                 try:
                     vals = [int(v) for v in row[1:]]
                 except ValueError:
@@ -182,3 +188,76 @@ class TestRoundTrip:
             path = Path(tmp) / "s.csv"
             path.write_bytes(bytes(raw))
             assert outcome(path) == reference_read(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=streams,
+        crlf=st.booleans(),
+        edit=st.sampled_from(["drop", "repeat", "swap", "renumber"]),
+        where=st.floats(0, 1, exclude_max=True),
+    )
+    def test_row_edits_read_as_the_csv_parser_reads_them(self, values, crlf, edit, where):
+        end = b"\r\n" if crlf else b"\n"
+        header, *rows = reference_bytes(ObservationStream(values)).split(b"\r\n")[:-1]
+        j = int(where * (len(rows) - 1))
+        if edit == "drop":
+            del rows[j]
+        elif edit == "repeat":
+            rows.insert(j, rows[j])
+        elif edit == "swap":
+            rows[j], rows[j + 1] = rows[j + 1], rows[j]
+        else:
+            slot, rest = rows[j].split(b",", 1)
+            rows[j] = b"%d,%s" % (int(slot) + 1, rest)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(end.join([header, *rows, b""]))
+            assert outcome(path) == reference_read(path)
+
+
+class TestSlotColumn:
+    """Row j must hold slot j, also where the slot widths change."""
+
+    N = 1500
+
+    def file_bytes(self, crlf=False):
+        values = (np.random.default_rng(5).random((2, self.N)) < 0.5).astype(np.int8)
+        raw = reference_bytes(ObservationStream(values))
+        return raw if crlf else raw.replace(b"\r\n", b"\n")
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_plain_layout_read_by_numpy(self, crlf):
+        raw = self.file_bytes(crlf)
+        assert _parse_plain(raw) is not None
+
+    @pytest.mark.parametrize("first_crlf", [50, 100])
+    def test_line_ends_changing_midway_read_alike(self, tmp_path, first_crlf):
+        lines = self.file_bytes().split(b"\n")
+        # LF before the slot first_crlf, CRLF from it on
+        raw = (b"\n".join(lines[:first_crlf]) + b"\n"
+               + b"\r\n".join(lines[first_crlf:]))
+        path = tmp_path / "s.csv"
+        path.write_bytes(raw)
+        assert outcome(path) == reference_read(path)
+        assert read_stream_csv(path).slot_count == self.N
+
+    @pytest.mark.parametrize("slot", [1, 9, 10, 99, 100, 999, 1000, 1499])
+    @pytest.mark.parametrize("edit", ["drop", "swap", "renumber"])
+    def test_out_of_place_slot_rejected(self, tmp_path, slot, edit):
+        lines = self.file_bytes().split(b"\n")
+        if edit == "drop":
+            del lines[slot]
+            found = slot + 1
+        elif edit == "swap":
+            lines[slot], lines[slot + 1] = lines[slot + 1], lines[slot]
+            found = slot + 1
+        else:
+            lines[slot] = b"%d%s" % (slot + 10, lines[slot][len(str(slot)):])
+            found = slot + 10
+        raw = b"\n".join(lines)
+        assert _parse_plain(raw) is None
+        path = tmp_path / "s.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as info:
+            read_stream_csv(path)
+        assert str(info.value) == f"{path}:{slot + 1}: slot {found}, expected {slot}"
