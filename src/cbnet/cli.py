@@ -43,21 +43,49 @@ PEN_WIDTH_MAX = 4.0
 #: carry no marker, so reading them without one would transpose every edge.
 MODEL_FORMAT = "cbnet-model/2"
 
+#: the smallest ``--epsilon`` that ``learn`` accepts.  The model file holds
+#: 12 significant digits, at which the clamp 1 - eps is written as 1.0 for
+#: eps below this (1 - 4e-13 is), and ``model_from_dict`` refuses a CPT
+#: entry of 1.
+EPS_MIN = 5e-13
+
 
 # ---------------------------------------------------------------- file formats
 
-def _round12(table: np.ndarray) -> list:
-    """Nested lists of the entries at 12 significant digits.
+def _format_rows(table: np.ndarray, format_distinct) -> list[str]:
+    """One text per row of a 2-D table; each distinct row is formatted once.
 
-    Each distinct value is formatted once: a CPT is mostly the 0.5 of its
-    unseen rows, so this is far cheaper than formatting every entry.
+    Rows are told apart by their bytes.  ``format_distinct`` gets the
+    distinct rows as one array, in order of first appearance, and returns
+    their texts; every row of ``table`` then takes the text of its distinct
+    row.  Rows with equal bytes get equal text, so the result is what
+    formatting each row on its own gives, whatever the table holds.  A CPT
+    is mostly the all-0.5 rows of unseen parent patterns, so this formats
+    a few percent of its entries.
     """
-    distinct, inverse = np.unique(table, return_inverse=True)
-    rounded = np.array([float(f"{v:.12g}") for v in distinct.tolist()])
-    return rounded[inverse].reshape(table.shape).tolist()
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    width = table.shape[1]
+    keys = table.view(np.dtype((np.void, table.itemsize * width))).ravel().tolist()
+    first = dict.fromkeys(keys)
+    distinct = np.frombuffer(b"".join(first), dtype=np.float64).reshape(len(first), width)
+    text = dict(zip(first, format_distinct(distinct)))
+    return list(map(text.__getitem__, keys))
+
+
+def _json_rows(rows: np.ndarray) -> list[str]:
+    """Each row as ``json.dumps`` writes its entries at 12 significant digits."""
+    rounded = [[float(f"{v:.12g}") for v in row] for row in rows.tolist()]
+    # a JSON number never holds "]", so the rows split apart at "], ["
+    return [f"[{row}]" for row in json.dumps(rounded)[2:-2].split("], [")]
+
+
+def _csv_rows(rows: np.ndarray) -> list[str]:
+    """Each row as ``np.savetxt(fmt="%.12g", delimiter=",")`` writes its line."""
+    return [",".join([f"{v:.12g}" for v in row]) + "\n" for row in rows.tolist()]
 
 
 def model_to_dict(model: CbnModel) -> dict:
+    """The model document; ``cpts`` and ``deps`` hold each clique's array."""
     est = model.estimate
     return {
         "format": MODEL_FORMAT,
@@ -66,8 +94,8 @@ def model_to_dict(model: CbnModel) -> dict:
         "ts_star": est.ts_star if est else None,
         "tp": est.tp if est else None,
         "epsilon": model.provenance.get("epsilon", DEFAULT_EPS),
-        "cpts": [_round12(cpt.B) for cpt in model.cpts],
-        "deps": [_round12(dep.D) for dep in model.deps],
+        "cpts": [cpt.B for cpt in model.cpts],
+        "deps": [dep.D for dep in model.deps],
         "provenance": model.provenance,
     }
 
@@ -75,17 +103,20 @@ def model_to_dict(model: CbnModel) -> dict:
 def write_model_json(doc: dict, path) -> None:
     """One top-level key per line, and one clique matrix per line.
 
-    Every value goes through json's C encoder and is written as soon as it
-    is encoded; ``indent=2`` would put each number on its own line through
-    the pure-Python encoder, which took about 50 ms for an M=8, T=12 model.
+    Each clique matrix is written as ``json.dumps`` writes its nested
+    lists with every entry rounded to 12 significant digits, and
+    ``_format_rows`` formats each distinct row of it once.  Every other
+    value goes through json's C encoder; ``indent=2`` would put each
+    number on its own line through the pure-Python encoder.
     """
     with open(path, "w") as fh:
         for n, key in enumerate(sorted(doc)):
             fh.write(("{\n  " if n == 0 else ",\n  ") + json.dumps(key) + ": ")
             value = doc[key]
             if key in ("cpts", "deps") and value:
-                for t, matrix in enumerate(value):
-                    fh.write(("[\n    " if t == 0 else ",\n    ") + json.dumps(matrix))
+                for t, table in enumerate(value):
+                    line = "[" + ", ".join(_format_rows(table, _json_rows)) + "]"
+                    fh.write(("[\n    " if t == 0 else ",\n    ") + line)
                 fh.write("\n  ]")
             else:
                 fh.write(json.dumps(value, sort_keys=True))
@@ -95,13 +126,10 @@ def write_model_json(doc: dict, path) -> None:
 def write_matrix_csv(table: np.ndarray, path) -> None:
     """Comma-separated rows at 12 significant digits, as ``np.savetxt`` writes.
 
-    Each distinct value is formatted once (see ``_round12``).
+    ``_format_rows`` formats each distinct row once.
     """
-    distinct, inverse = np.unique(table, return_inverse=True)
-    text = np.array([f"{v:.12g}" for v in distinct.tolist()])[inverse]
-    rows = text.reshape(table.shape).tolist()
     with open(path, "w") as fh:
-        fh.write("".join(",".join(row) + "\n" for row in rows))
+        fh.write("".join(_format_rows(table, _csv_rows)))
 
 
 def _model_tables(doc: dict, key: str, count: int, shape: tuple) -> list:
@@ -197,6 +225,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    if not EPS_MIN <= args.epsilon < 0.5:
+        raise ValueError(
+            f"--epsilon {args.epsilon:g} is outside [{EPS_MIN:g}, 0.5): the model "
+            f"file holds 12 significant digits, at which 1 - eps is 1 for any eps "
+            f"below {EPS_MIN:g}"
+        )
     stream = read_stream_csv(Path(args.input))
     config = LearnConfig(period=args.period, epsilon=args.epsilon)
     model = learn_cbn(stream, config)

@@ -1,11 +1,25 @@
 """Command-line interface: formats, determinism, round trips, exit codes."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbnet.cli import main, read_stream_csv
+from cbnet import LearnConfig, ObservationStream, learn_cbn
+from cbnet.cli import (
+    EPS_MIN,
+    main,
+    model_from_dict,
+    model_to_dict,
+    read_stream_csv,
+    write_matrix_csv,
+    write_model_json,
+)
 
 
 def run_cli(*argv):
@@ -115,6 +129,32 @@ class TestLearnCommand:
         assert f"sensor count {m}" in capsys.readouterr().err
 
 
+    def test_epsilon_floor_exports(self, tmp_path):
+        # this stream has CPT entries clamped to 1 - eps, written below 1
+        obs = simulate(tmp_path, slots=3000)
+        model_path = tmp_path / "model.json"
+        assert run_cli("learn", "--input", obs, "--output", model_path,
+                       "--period", 6, "--epsilon", "5e-13") == 0
+        doc = json.loads(model_path.read_text())
+        assert EPS_MIN == 5e-13 and doc["epsilon"] == EPS_MIN
+        assert max(np.max(cpt) for cpt in doc["cpts"]) == 0.999999999999
+        assert run_cli("export", "--model", model_path, "--dot", tmp_path / "g.dot",
+                       "--csv-dir", tmp_path / "mats") == 0
+
+    @pytest.mark.parametrize("eps", ["4e-13", "1e-14"])
+    def test_epsilon_below_floor_rejected(self, tmp_path, capsys, eps):
+        obs = simulate(tmp_path, slots=3000)
+        model_path = tmp_path / "model.json"
+        assert run_cli("learn", "--input", obs, "--output", model_path,
+                       "--period", 6, "--epsilon", eps) == 2
+        assert not model_path.exists()
+        assert "[5e-13, 0.5)" in capsys.readouterr().err
+        # refused before the stream is read
+        assert run_cli("learn", "--input", tmp_path / "missing.csv",
+                       "--output", model_path, "--epsilon", eps) == 2
+        assert "--epsilon" in capsys.readouterr().err
+
+
 class TestExportCommand:
     @pytest.fixture()
     def model_path(self, tmp_path):
@@ -152,13 +192,21 @@ class TestExportCommand:
             np.testing.assert_allclose(dep, np.array(doc["deps"][t - 1]), atol=1e-9)
 
     def test_matrix_csv_matches_savetxt(self, tmp_path):
-        from cbnet.cli import write_matrix_csv
-
         rng = np.random.default_rng(2)
-        table = np.where(rng.random((16, 4)) < 0.5, 0.5, rng.random((16, 4)))
-        write_matrix_csv(table, tmp_path / "a.csv")
-        np.savetxt(tmp_path / "b.csv", table, delimiter=",", fmt="%.12g")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        wide = np.full((4096, 12), 0.5)
+        seen = rng.random(4096) < 0.03  # a wide-m12 CPT sees ~3% of its rows
+        wide[seen] = rng.random((seen.sum(), 12))
+        tables = [
+            np.where(rng.random((16, 4)) < 0.5, 0.5, rng.random((16, 4))),
+            wide,
+            np.array([[0.25]]),
+            rng.random((5, 1)),
+            rng.random((4, 6)).T,
+        ]
+        for table in tables:
+            write_matrix_csv(table, tmp_path / "a.csv")
+            np.savetxt(tmp_path / "b.csv", table, delimiter=",", fmt="%.12g")
+            assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_unmarked_model_rejected(self, tmp_path, model_path, capsys):
         # a model file without the layout marker stores deps child-first;
@@ -245,18 +293,106 @@ class TestBenchCommand:
         assert any(",-1" in l for l in lines)
 
 
+def reference_model_json(doc: dict) -> str:
+    """The model file as nested ``.tolist()`` lists and ``json.dumps`` write it.
+
+    Every clique entry is rounded to 12 significant digits on its own; one
+    top-level key, and one clique matrix, per line.
+    """
+    lines = []
+    for key in sorted(doc):
+        value = doc[key]
+        if key in ("cpts", "deps") and len(value):
+            cliques = [
+                json.dumps([[float(f"{v:.12g}") for v in row]
+                            for row in np.asarray(table).tolist()])
+                for table in value
+            ]
+            text = "[\n    " + ",\n    ".join(cliques) + "\n  ]"
+        else:
+            text = json.dumps(value, sort_keys=True)
+        lines.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(lines) + "\n}\n"
+
+
+def learned_model(m: int, period: int, slots: int = 240):
+    rng = np.random.default_rng(m * 100 + period)
+    stream = ObservationStream((rng.random((m, slots)) < 0.4).astype(np.int8))
+    return learn_cbn(stream, LearnConfig(period=period))
+
+
+#: entries that must survive the row grouping: the clamps, a signed zero,
+#: and pairs that differ in their bits but print alike at 12 digits
+ENTRIES = [
+    EPS_MIN, 1 - EPS_MIN, 1e-3, 1 - 1e-3, 0.5, 0.0, -0.0, 0.25, 1.0, 1 / 3,
+    math.nextafter(1 / 3, 1), 0.1, math.nextafter(0.1, 0), 123456.789, 1e-300,
+]
+
+
+def _twin(v: float) -> float:
+    """An entry that equals ``v`` or prints like it, with other bits."""
+    return -v if v == 0 else math.nextafter(v, math.inf)
+
+
+def _table(base, masks, picks, layout) -> np.ndarray:
+    """Rows of ``picks`` from ``base`` and its twins, in the given layout.
+
+    Twin rows swap some entries of ``base`` for ``_twin`` of them, so rows
+    repeat, and rows that differ only in their bits sit side by side.
+    """
+    distinct = [[_twin(v) if flip else v for v, flip in zip(base, mask)]
+                for mask in masks]
+    table = np.array([distinct[p % len(distinct)] for p in picks], dtype=np.float64)
+    if layout == "transposed":
+        return np.ascontiguousarray(table.T).T
+    if layout == "strided":
+        return np.repeat(table, 2, axis=0)[::2]
+    return table
+
+
+tables = st.integers(1, 5).flatmap(lambda width: st.builds(
+    _table,
+    st.lists(st.sampled_from(ENTRIES) | st.floats(width=64),
+             min_size=width, max_size=width),
+    st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+             min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=24),
+    st.sampled_from(["c", "transposed", "strided"]),
+))
+
+
 class TestModelJson:
     def test_round_trip_at_precision(self, tmp_path):
-        from cbnet.cli import model_from_dict, model_to_dict
-        from cbnet import LearnConfig, ObservationStream, learn_cbn
-
         rng = np.random.default_rng(0)
         stream = ObservationStream((rng.random((2, 1000)) < 0.4).astype(np.int8))
         model = learn_cbn(stream, LearnConfig(period=5))
-        doc = json.loads(json.dumps(model_to_dict(model)))
-        back = model_from_dict(doc)
+        path = tmp_path / "model.json"
+        write_model_json(model_to_dict(model), path)
+        with open(path) as fh:
+            back = model_from_dict(json.load(fh))
         assert back.period == model.period and back.M == model.M
         for a, b in zip(back.cpts, model.cpts):
             np.testing.assert_allclose(a.B, b.B, rtol=1e-11)
         for a, b in zip(back.deps, model.deps):
             np.testing.assert_allclose(a.D, b.D, rtol=1e-11)
+
+    @pytest.mark.parametrize("m", [1, 3, 8, 12])
+    @pytest.mark.parametrize("period", [1, 2, 12])
+    def test_learned_model_matches_reference(self, tmp_path, m, period):
+        doc = model_to_dict(learned_model(m, period))
+        assert len(doc["cpts"]) == len(doc["deps"]) == period - 1
+        path = tmp_path / "model.json"
+        write_model_json(doc, path)
+        assert path.read_bytes() == reference_model_json(doc).encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(cpt=tables, dep=tables)
+    def test_tables_match_reference(self, cpt, dep):
+        doc = {"M": 1, "cpts": [cpt, dep], "deps": [dep]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            write_model_json(doc, path)
+            assert path.read_bytes() == reference_model_json(doc).encode()
+            write_matrix_csv(cpt, Path(tmp) / "a.csv")
+            np.savetxt(Path(tmp) / "b.csv", cpt, delimiter=",", fmt="%.12g")
+            assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
