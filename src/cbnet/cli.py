@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
 import time
@@ -290,6 +291,11 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"bad --M '{args.M}', expected comma-separated integers", file=sys.stderr)
         return 2
+    for m in m_list:
+        if not 1 <= m <= M_MAX:
+            raise ValueError(f"--M {m} is outside [1, {M_MAX}]")
+    if args.repeat < 1:
+        raise ValueError(f"--repeat {args.repeat} is below 1")
 
     results = [
         _bench_one_m(m, args.N, args.seed, args.repeat, args.timeout_secs)
@@ -337,6 +343,8 @@ def export_dot(model: CbnModel, threshold: float = 0.0) -> str:
 
 
 def cmd_export(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise ValueError(f"--threshold {args.threshold} is not a finite number")
     with open(args.model) as fh:
         model = model_from_dict(json.load(fh))
     if args.dot:

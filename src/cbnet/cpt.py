@@ -96,7 +96,8 @@ def clique_keys(parent: np.ndarray) -> np.ndarray:
     ``parent`` holds M x K x S frames.  Each key starts as the clique
     number s, and the frame's bits are shifted in below it, MSB first, one
     sensor row at a time, so every clique's patterns land in their own 2^M
-    bins and int8 frames are never copied to int64 as a whole.
+    bins and int8 frames are never copied to int64 as a whole.  ``bbcpt``
+    encodes one clique (S = 1); the period search, every phase of a fold.
     """
     M, K, S = parent.shape
     check_sensor_count(M)
@@ -124,30 +125,6 @@ def child_counts(keys: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray:
     return num
 
 
-def stacked_cpts(parent: np.ndarray, child: np.ndarray, eps: float = DEFAULT_EPS):
-    """Histogram CPTs of S cliques at once from M x K x S frame arrays.
-
-    parent[:, k, s] and child[:, k, s] are frame pair k of clique s.  Every
-    parent frame is encoded straight into the key s * 2^M + condition index
-    (``clique_keys``); one bincount over the keys gives every clique's
-    pattern counts and one weighted bincount per child sensor its child-on
-    counts (``child_counts``).  Returns (B, B_raw, counts) of shapes
-    (S, 2^M, M), (S, 2^M, M) and (S, 2^M): unseen rows hold 0.5 and seen
-    rows of B are clamped to [eps, 1-eps].
-    """
-    if not 0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    keys = clique_keys(parent)
-    M, _, S = parent.shape
-    counts = np.bincount(keys.ravel(), minlength=S * 2**M).reshape(S, 2**M)
-    num = child_counts(keys, child, S * 2**M).reshape(S, 2**M, M)
-    seen = counts > 0
-    raw = np.full(num.shape, 0.5)
-    np.divide(num, counts[..., None], out=raw, where=seen[..., None])
-    B = np.where(seen[..., None], np.clip(raw, eps, 1.0 - eps), raw)
-    return B, raw, counts
-
-
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     """Closed-form empirical CPT of one clique from binary frame matrices.
 
@@ -156,18 +133,26 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     default 0.5; everything else is clamped to [eps, 1-eps] so downstream
     logarithms stay finite.
 
-    Counting is a histogram over condition indices (``stacked_cpts`` with a
-    single clique): each frame's parent column is encoded as the index of
-    the condition-matrix row it matches, one bincount gives the pattern
+    Counting is a histogram over condition indices: each frame's parent
+    column is encoded as the index of the condition-matrix row it matches
+    (``clique_keys`` with a single clique), one bincount gives the pattern
     counts and one weighted bincount per child sensor gives the child-on
-    counts.  The integers are exactly those of the literal floored-average
-    match matrix (``match_indicator``, kept as the test reference) and of
-    ``counting_oracle``.
+    counts (``child_counts``).  The integers are exactly those of the
+    literal floored-average match matrix (``match_indicator``, kept as the
+    test reference) and of ``counting_oracle``.
     """
     parent, child = _frames(parent, child)
-    B, raw, counts = stacked_cpts(parent[..., None], child[..., None], eps)
+    if not 0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    keys = clique_keys(parent[..., None])
     M = parent.shape[0]
-    return CliqueCPT(M=M, B=B[0], counts=counts[0], B_raw=raw[0])
+    counts = np.bincount(keys.ravel(), minlength=2**M)
+    num = child_counts(keys, child[..., None], 2**M)
+    seen = counts > 0
+    raw = np.full(num.shape, 0.5)
+    np.divide(num, counts[:, None], out=raw, where=seen[:, None])
+    B = np.where(seen[:, None], np.clip(raw, eps, 1.0 - eps), raw)
+    return CliqueCPT(M=M, B=B, counts=counts, B_raw=raw)
 
 
 def counting_oracle(parent, child) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ Pass it to ``LearnConfig(period=...)`` to learn a model at that period.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,9 +41,8 @@ from .cpt import (
     check_sensor_count,
     child_counts,
     clique_keys,
-    stacked_cpts,
 )
-from .dependence import DependenceMatrix, cpbd_clique, cpbd_tables, normalize
+from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -52,10 +52,9 @@ from .errors import (
 )
 from .observations import ObservationStream, fold, frame_pair
 
-#: Most table entries (phases x 2^M rows x M children) that lag_dependence
-#: and phase_dependence stack at once.  A block of this size stays
-#: cache-resident, and one phase is always allowed, so a block never holds
-#: more than the single table a per-phase evaluation builds.
+#: Most table entries (phases x 2^M rows x M children) that phase_dependence
+#: counts at once.  A block of this size stays cache-resident; a block holds
+#: at least one phase, so at large M it is a single phase's table.
 _BLOCK_ELEMENTS = 1 << 16
 
 #: shuffled copies per lag from which the surrogate search takes the null mean
@@ -116,19 +115,10 @@ def lag_dependence(
 
     Folding the (sub)stream at P = x makes each phase column a clique whose
     consecutive frames are exactly x raw slots apart, so pairing it with its
-    next-frame self probes the lag-x dependence.  The value is the sum of the
-    x per-phase CPbD matrices, averaged over phases and edges: the profile
-    ``paper_period`` searches.
-
-    All phases are counted together by ``stacked_cpts``, the kernel of
-    ``bbcpt``: every parent frame of the stream is encoded once, straight
-    into a (phase, condition index) key, and one bincount over the keys,
-    plus one weighted bincount per child sensor, gives every phase's CPT.
-    The CPbD of the stacked (phases, 2^M, M) tables runs through
-    ``cpbd_tables``, the core of ``cpbd_clique``.  Phases are processed in
-    blocks of at most ``_BLOCK_ELEMENTS`` table entries.  Values are
-    bit-identical to folding at x and summing ``bbcpt`` + ``cpbd_clique``
-    phase by phase.
+    next-frame self probes the lag-x dependence.  Each phase's CPT is counted
+    by ``bbcpt`` and scored by ``cpbd_clique``; the value is the sum of the x
+    per-phase CPbD matrices, taken in phase order and averaged over phases
+    and edges: the profile ``paper_period`` searches.
     """
     values = stream.values
     if sensors is not None:
@@ -141,13 +131,10 @@ def lag_dependence(
         values = values[idx]
     m = values.shape[0]
     parent, child = _lag_frames(values, x)
-    block = max(1, _BLOCK_ELEMENTS // (2**m * m))
     total = 0.0
-    for lo in range(0, x, block):
-        phases = slice(lo, lo + block)
-        B, _, _ = stacked_cpts(parent[:, :, phases], child[:, :, phases], eps)
-        for D in cpbd_tables(m, B):
-            total += float(D.sum())
+    for p in range(x):
+        cpt = bbcpt(parent[:, :, p], child[:, :, p], eps=eps)
+        total += float(cpbd_clique(cpt).D.sum())
     return total / (x * m * m)
 
 
@@ -294,28 +281,16 @@ def _first_valley(d: dict[int, float], lo: int, hi: int) -> int | None:
     return None
 
 
-def find_ts(
-    stream: ObservationStream,
-    sensors=None,
-    initial_exponent: int = 2,
-    eps: float = DEFAULT_EPS,
-    _profile=None,
-) -> int:
-    """First local minimum of the lag-dependence profile.
+def find_ts(profile, max_lag: int, initial_exponent: int = 2) -> int:
+    """First local minimum of a lag profile, ``profile(x)`` at lag x.
 
     Scans lags 2..2^l + 1 starting at l = initial_exponent, doubling the
-    window until a valley appears or the data limit (half the stream) is
-    reached.  ``_profile`` replaces the lag evaluator: ``learn_cbn`` passes
-    its memoized profile, and tests pass synthetic ones.
+    window until a valley appears or max_lag, the data limit (half the
+    stream for ``lag_dependence``), is reached.
     """
-    if _profile is None:
-        def _profile(x):
-            return lag_dependence(stream, x, sensors=sensors, eps=eps)
-
-    max_lag = stream.slot_count // 2
     if max_lag < 3:
         raise InsufficientDataError(
-            f"stream of {stream.slot_count} slots is too short for a valley scan"
+            f"a valley scan needs lags up to at least 3, the data allow {max_lag}"
         )
     level = initial_exponent
     d: dict[int, float] = {}
@@ -323,7 +298,7 @@ def find_ts(
     while True:
         new_top = min(2**level + 1, max_lag)
         for x in range(max(2, top + 1), new_top + 1):
-            d[x] = _profile(x)
+            d[x] = profile(x)
         top = new_top
         valley = _first_valley(d, 3, top - 1)
         if valley is not None:
@@ -365,24 +340,13 @@ def harmonic_period(p_f: float, ts_star: int) -> int | None:
         n += 1
 
 
-def find_tp(
-    stream: ObservationStream,
-    ts_star: int,
-    sensors=None,
-    eps: float = DEFAULT_EPS,
-    _profile=None,
-) -> tuple[int, np.ndarray]:
-    """Fundamental period of the lag profile via its first non-DC DFT peak.
+def find_tp(profile, max_lag: int, ts_star: int) -> tuple[int, np.ndarray]:
+    """Fundamental period of a lag profile via its first non-DC DFT peak.
 
     The analysis window is the smallest power of two covering ts_star,
     doubled whenever the spectrum exposes no strict interior peak, up to
-    the data limit.
+    the data limit max_lag.
     """
-    if _profile is None:
-        def _profile(x):
-            return lag_dependence(stream, x, sensors=sensors, eps=eps)
-
-    max_lag = stream.slot_count // 2
     level = max(2, math.ceil(math.log2(max(ts_star, 2))))
     d: dict[int, float] = {}
     while True:
@@ -394,7 +358,7 @@ def find_tp(
             )
         for x in range(1, length + 1):
             if x not in d:
-                d[x] = _profile(x)
+                d[x] = profile(x)
         spectrum = dft_magnitude([d[x] for x in range(1, length + 1)])
         k_star = first_spectral_peak(spectrum)
         if k_star is not None:
@@ -426,25 +390,21 @@ def paper_period(
     combines the two.  One memoized lag profile is shared by every scan
     and dropped on return, so each (sensors, lag) is evaluated once.
     """
-    memo: dict[tuple, float] = {}
 
-    def profile(sensors):
-        def at(x):
-            key = (sensors, x)
-            if key not in memo:
-                memo[key] = lag_dependence(stream, x, sensors=sensors, eps=eps)
-            return memo[key]
+    @functools.cache
+    def profile(sensors, x):
+        return lag_dependence(stream, x, sensors=sensors, eps=eps)
 
-        return at
-
+    max_lag = stream.slot_count // 2
     per_sensor = [
-        find_ts(stream, initial_exponent=initial_exponent, _profile=profile((i,)))
+        find_ts(functools.partial(profile, (i,)), max_lag, initial_exponent)
         for i in range(stream.sensor_count)
     ]
     ts_max = max(per_sensor)
     l0 = max(initial_exponent, math.ceil(math.log2(max(ts_max, 2))))
-    ts_star = find_ts(stream, initial_exponent=l0, _profile=profile(None))
-    tp, _ = find_tp(stream, ts_star, _profile=profile(None))
+    joint = functools.partial(profile, None)
+    ts_star = find_ts(joint, max_lag, l0)
+    tp, _ = find_tp(joint, max_lag, ts_star)
     return resolve_period(ts_star, tp)
 
 

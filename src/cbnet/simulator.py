@@ -37,6 +37,12 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # an infinite rate or speed never lets the draw loop end, and NaN
+        # slips past every comparison below
+        for name in ("road_length", "arrival_rate", "traffic_rate",
+                     "service_mean", "sense_interval", "speed_range"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         v_min, v_max = self.speed_range
         if not 0 < v_min <= v_max:
             raise ConfigError(f"bad speed range {self.speed_range}")

@@ -64,6 +64,15 @@ class TestSimulateCommand:
         assert code != 0
         assert "speed" in capsys.readouterr().err
 
+    # NaN rates only: an infinite one would never end a run that slipped
+    # past the check (tests/test_simulator.py builds those configs instead)
+    @pytest.mark.parametrize("flag", ["--arrival-rate", "--traffic-rate"])
+    def test_nan_rate_rejected(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--slots", 10, flag, "nan", "--out", out) == 2
+        assert not out.exists()
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestLearnCommand:
     def test_period_override_model_shape(self, tmp_path):
@@ -181,6 +190,14 @@ class TestExportCommand:
         # diagonals are 1.0, so at least the self-edges survive
         assert expect >= 21
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, tmp_path, model_path, capsys, value):
+        dot = tmp_path / "g.dot"
+        assert run_cli("export", "--model", model_path, "--dot", dot,
+                       f"--threshold={value}") == 2
+        assert not dot.exists()
+        assert "--threshold" in capsys.readouterr().err
+
     def test_matrix_round_trip(self, tmp_path, model_path):
         out_dir = tmp_path / "mats"
         assert run_cli("export", "--model", model_path, "--csv-dir", out_dir) == 0
@@ -291,6 +308,21 @@ class TestBenchCommand:
                        "--timeout-secs", 1e-9, "--out", out) == 0
         lines = out.read_text().splitlines()
         assert any(",-1" in l for l in lines)
+
+    @pytest.mark.parametrize("m", ["0", "4,21", "-3"])
+    def test_sensor_count_out_of_range(self, tmp_path, capsys, m):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", f"--M={m}", "--N", 1000, "--out", out) == 2
+        assert not out.exists()
+        assert "--M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_repeat_below_one(self, tmp_path, capsys, repeat):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--M", 4, "--N", 1000, "--repeat", repeat,
+                       "--out", out) == 2
+        assert not out.exists()
+        assert "--repeat" in capsys.readouterr().err
 
 
 def reference_model_json(doc: dict) -> str:

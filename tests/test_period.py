@@ -149,21 +149,21 @@ class TestFindTs:
     def test_decreasing_then_flat_profile(self):
         profile = {1: 9.0, 2: 7.0, 3: 5.0, 4: 4.0, 5: 4.0, 6: 4.0, 7: 4.0}
         s = stream_of([[0, 1] * 50])
-        assert find_ts(s, _profile=lambda x: profile.get(x, 4.0)) == 4
+        assert find_ts(lambda x: profile.get(x, 4.0), s.slot_count // 2) == 4
 
     def test_interior_valley(self):
         values = {2: 5.0, 3: 3.0, 4: 4.0, 5: 2.0}
         s = stream_of([[0, 1] * 50])
-        assert find_ts(s, _profile=lambda x: values.get(x, 6.0)) == 3
+        assert find_ts(lambda x: values.get(x, 6.0), s.slot_count // 2) == 3
 
     def test_window_extends_when_no_early_valley(self):
         # strictly decreasing until lag 11, then rising
         s = stream_of([[0, 1] * 50])
-        assert find_ts(s, _profile=lambda x: abs(11 - x)) == 11
+        assert find_ts(lambda x: abs(11 - x), s.slot_count // 2) == 11
 
     def test_markov_matches_reference_scan(self):
         s = markov_stream(50000)
-        got = find_ts(s)
+        got = find_ts(lambda x: lag_dependence(s, x), s.slot_count // 2)
         # independent full scan over the oracle-computed profile
         d = {x: oracle_lag_dependence(s, x) for x in range(2, got + 2)}
         for x in range(3, got):
@@ -172,7 +172,7 @@ class TestFindTs:
 
     def test_planted_period_decorrelates_within_one_period(self):
         s = planted_stream(8, 2500)
-        assert find_ts(s) <= 9
+        assert find_ts(lambda x: lag_dependence(s, x), s.slot_count // 2) <= 9
 
 
 class TestDftMagnitude:
@@ -204,18 +204,21 @@ class TestDftMagnitude:
 class TestFindTp:
     def test_period8_comb(self):
         s = stream_of([[0, 1] * 600])
-        tp, spectrum = find_tp(s, 7, _profile=lambda x: 1.0 if x % 8 == 0 else 0.0)
+        tp, spectrum = find_tp(
+            lambda x: 1.0 if x % 8 == 0 else 0.0, s.slot_count // 2, 7
+        )
         assert tp == 4
 
     def test_constant_profile_has_no_peak(self):
         s = stream_of([[0, 1] * 40])
         with pytest.raises(NoPeakError):
-            find_tp(s, 5, _profile=lambda x: 2.5)
+            find_tp(lambda x: 2.5, s.slot_count // 2, 5)
 
     def test_planted_period6(self):
         s = planted_stream(6, 2**13, seed=1)
-        ts = find_ts(s)
-        tp, _ = find_tp(s, ts)
+        max_lag = s.slot_count // 2
+        ts = find_ts(lambda x: lag_dependence(s, x), max_lag)
+        tp, _ = find_tp(lambda x: lag_dependence(s, x), max_lag, ts)
         expected = {6, 3, 2} if ts <= 6 else {6}
         assert tp in expected
 
@@ -290,10 +293,14 @@ class TestLearnCbn:
         import cbnet.period as period
 
         s = planted_stream(12, 300, seed=2)
-        ts = [find_ts(s, sensors=[i]) for i in range(s.sensor_count)]
+        max_lag = s.slot_count // 2
+        ts = [
+            find_ts(lambda x: lag_dependence(s, x, [i]), max_lag)
+            for i in range(s.sensor_count)
+        ]
         l0 = max(2, math.ceil(math.log2(max(max(ts), 2))))
-        ts_star = find_ts(s, initial_exponent=l0)
-        tp, _ = find_tp(s, ts_star)
+        ts_star = find_ts(lambda x: lag_dependence(s, x), max_lag, l0)
+        tp, _ = find_tp(lambda x: lag_dependence(s, x), max_lag, ts_star)
         reference = learn_cbn(s, LearnConfig(period=resolve_period(ts_star, tp)))
 
         keys = []
@@ -543,6 +550,22 @@ PAPER_MODELS = {
 
 ROAD_SPEEDS = {"fast": (100.8, 158.4), "slow": (43.2, 72.0)}
 
+#: (period, model_digest) of the paper's rule on planted period-12 streams
+#: of M sensors, ``planted_stream(12, 1000, M=M, seed=seed)`` for seeds 0..2,
+#: recorded when lag_dependence still counted its phases in stacked blocks
+#: (32 phases per block at M=8, one at M=12)
+WIDE_PAPER_MODELS = {
+    8: [(3, "73c54303785e"), (3, "3e543dec697d"), (3, "1868ac1aa450")],
+    12: [(3, "e55fc0116213"), (3, "7b40ef1625eb"), (3, "f1a4a4a38e06")],
+}
+#: lag_dependence of ``planted_stream(12, 1000, M=8, seed=0)`` recorded then,
+#: at lags whose phases spanned two, two and four such blocks
+WIDE_LAG_DEPENDENCE = {
+    33: "0x1.b1794df254886p+7",
+    64: "0x1.384b359ae1356p+7",
+    97: "0x1.b3aef6c4b42b9p+7",
+}
+
 
 class TestBlindPeriod:
     def test_blind_learn_is_repeatable(self):
@@ -573,3 +596,15 @@ class TestBlindPeriod:
                 m = learn(run(cfg))
                 got.append((m.period, model_digest(m)))
             assert got == PAPER_MODELS[name], name
+
+    def test_paper_period_pinned_at_wide_m(self):
+        for M, want in WIDE_PAPER_MODELS.items():
+            got = []
+            for seed in range(len(want)):
+                s = planted_stream(12, 1000, M=M, seed=seed)
+                m = learn_cbn(s, LearnConfig(period=paper_period(s)))
+                got.append((m.period, model_digest(m)))
+            assert got == want, M
+        s = planted_stream(12, 1000, M=8, seed=0)
+        for x, value in WIDE_LAG_DEPENDENCE.items():
+            assert lag_dependence(s, x) == float.fromhex(value), x

@@ -1,6 +1,7 @@
 """Traffic simulator: scripted traces, determinism, long-run statistics."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ class TestConfigValidation:
     def test_negative_rate(self):
         with pytest.raises(ConfigError):
             SimulationConfig(duration_slots=10, arrival_rate=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("speed_range", (math.inf, math.inf)),
+        ("speed_range", (20.0, math.inf)),
+        ("speed_range", (math.nan, 30.0)),
+        ("arrival_rate", math.inf),
+        ("arrival_rate", math.nan),
+        ("traffic_rate", math.inf),
+        ("traffic_rate", math.nan),
+        ("service_mean", math.inf),
+        ("road_length", math.nan),
+        ("sense_interval", math.inf),
+    ])
+    def test_non_finite_field(self, field, value):
+        # infinite values never let the draw loop end and NaN ones slip past
+        # the sign checks, so none may reach a run
+        with pytest.raises(ConfigError, match=field):
+            SimulationConfig(duration_slots=10, **{field: value})
 
 
 class TestScriptedUsers:
