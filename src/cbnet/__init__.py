@@ -20,7 +20,6 @@ from .cpt import (
 )
 from .dependence import (
     DependenceMatrix,
-    DifferenceOperator,
     cpbd_clique,
     difference_operator,
     direct_cpbd,
@@ -66,7 +65,6 @@ __all__ = [
     "ConfigError",
     "DEFAULT_EPS",
     "DependenceMatrix",
-    "DifferenceOperator",
     "DimensionError",
     "EmptyInputError",
     "FoldedObservations",

@@ -291,11 +291,17 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"bad --M '{args.M}', expected comma-separated integers", file=sys.stderr)
         return 2
+    if not m_list:
+        raise ValueError(f"--M '{args.M}' lists no sensor count")
     for m in m_list:
         if not 1 <= m <= M_MAX:
             raise ValueError(f"--M {m} is outside [1, {M_MAX}]")
+    if args.N < 1:
+        raise ValueError(f"--N {args.N} is below 1")
     if args.repeat < 1:
         raise ValueError(f"--repeat {args.repeat} is below 1")
+    if args.timeout_secs is not None and not 0 < args.timeout_secs < math.inf:
+        raise ValueError(f"--timeout-secs {args.timeout_secs} is not a positive number")
 
     results = [
         _bench_one_m(m, args.N, args.seed, args.repeat, args.timeout_secs)

@@ -6,9 +6,8 @@ between the two conditionals that differ only in parent k; it is stored at
 D[k, i], parent row and child column.  It is zero exactly under
 conditional independence.  The clique-level computation pairs
 condition rows that differ in one parent bit as two strided views of the
-table, which is the sparse difference operator applied without building it;
-the explicit operator and a literal nested-loop oracle are kept for
-verification.
+table, which is the difference operator applied without building it; the
+dense operator and a literal nested-loop oracle are kept for verification.
 """
 
 from __future__ import annotations
@@ -18,55 +17,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpt import CliqueCPT, check_sensor_count
-from .errors import BoundaryProbabilityError
+from .errors import BoundaryProbabilityError, DimensionError
 
 #: diagonal entries below this are treated as degenerate when normalizing
 DEGENERATE_DIAG = 1e-9
 
 
-@dataclass(frozen=True)
-class DifferenceOperator:
-    """Signed pairing of condition rows that differ in exactly one parent bit.
+def difference_operator(M: int) -> np.ndarray:
+    """Dense 2^M x (M * 2^(M-1)) int8 row-pairing operator, a test reference.
 
     Column block k (k = 1..M) has one column per assignment a of the other
-    M-1 bits: +1 at the row with bit k = 0, -1 at the row with bit k = 1.
-    Stored as the two row-index arrays; ``dense()`` materializes the
-    2^M x (M * 2^(M-1)) matrix for small M.
+    M-1 parent bits: +1 at the row with parent k's bit at 0, -1 at the row
+    with it at 1.  M is capped at 12, where the matrix takes 100 MB.
     """
-
-    M: int
-    #: (M, 2^(M-1)) row indices carrying +1, blocks k ascending, a ascending
-    plus_rows: np.ndarray = field(repr=False)
-    #: (M, 2^(M-1)) row indices carrying -1
-    minus_rows: np.ndarray = field(repr=False)
-
-    def dense(self) -> np.ndarray:
-        m = self.M
-        half = 2 ** (m - 1)
-        L = np.zeros((2**m, m * half), dtype=np.int8)
-        for k in range(m):
-            for a in range(half):
-                col = k * half + a
-                L[self.plus_rows[k, a], col] = 1
-                L[self.minus_rows[k, a], col] = -1
-        return L
-
-
-def difference_operator(M: int) -> DifferenceOperator:
-    """Build the row-pairing operator for M parents."""
-    check_sensor_count(M)
+    if not 1 <= M <= 12:
+        raise DimensionError(f"dense difference operator for M = {M} outside [1, 12]")
     half = 2 ** (M - 1)
-    plus = np.empty((M, half), dtype=np.int64)
-    minus = np.empty((M, half), dtype=np.int64)
-    a = np.arange(half, dtype=np.int64)
+    L = np.zeros((2**M, M * half), dtype=np.int8)
+    a = np.arange(half)
     for k in range(1, M + 1):
         bit = M - k  # parent k occupies bit M-k of the condition index
-        low = a & ((1 << bit) - 1)
-        high = (a >> bit) << (bit + 1)
-        base = high | low  # assignment a spread around a zero at `bit`
-        plus[k - 1] = base
-        minus[k - 1] = base | (1 << bit)
-    return DifferenceOperator(M=M, plus_rows=plus, minus_rows=minus)
+        base = ((a >> bit) << (bit + 1)) | (a & ((1 << bit) - 1))
+        cols = (k - 1) * half + a
+        L[base, cols] = 1
+        L[base | (1 << bit), cols] = -1
+    return L
 
 
 @dataclass(frozen=True)

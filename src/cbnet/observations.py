@@ -71,10 +71,6 @@ class FoldedObservations:
     columns: np.ndarray = field(repr=False)
 
     @property
-    def sensor_count(self) -> int:
-        return self.columns.shape[0]
-
-    @property
     def frame_count(self) -> int:
         return self.columns.shape[2]
 

@@ -273,41 +273,24 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     raise NoValleyError(f"no lag up to {max_lag} is at the within-phase null")
 
 
-def _first_valley(d: dict[int, float], lo: int, hi: int) -> int | None:
-    """Smallest x in [lo, hi] with d[x] <= d[x-1] and d[x] <= d[x+1]."""
-    for x in range(lo, hi + 1):
-        if d[x] <= d[x - 1] and d[x] <= d[x + 1]:
-            return x
-    return None
-
-
-def find_ts(profile, max_lag: int, initial_exponent: int = 2) -> int:
+def find_ts(profile, max_lag: int) -> int:
     """First local minimum of a lag profile, ``profile(x)`` at lag x.
 
-    Scans lags 2..2^l + 1 starting at l = initial_exponent, doubling the
-    window until a valley appears or max_lag, the data limit (half the
-    stream for ``lag_dependence``), is reached.
+    Scans x = 3, 4, ... upwards for the first profile(x) <= both
+    neighbours, evaluating each lag once and none above max_lag, the data
+    limit (half the stream for ``lag_dependence``).
     """
     if max_lag < 3:
         raise InsufficientDataError(
             f"a valley scan needs lags up to at least 3, the data allow {max_lag}"
         )
-    level = initial_exponent
-    d: dict[int, float] = {}
-    top = 0
-    while True:
-        new_top = min(2**level + 1, max_lag)
-        for x in range(max(2, top + 1), new_top + 1):
-            d[x] = profile(x)
-        top = new_top
-        valley = _first_valley(d, 3, top - 1)
-        if valley is not None:
-            return valley
-        if top >= max_lag:
-            raise NoValleyError(
-                f"no local minimum in the lag profile up to lag {top}"
-            )
-        level += 1
+    prev, cur = profile(2), profile(3)
+    for x in range(3, max_lag):
+        nxt = profile(x + 1)
+        if cur <= prev and cur <= nxt:
+            return x
+        prev, cur = cur, nxt
+    raise NoValleyError(f"no local minimum in the lag profile up to lag {max_lag}")
 
 
 def dft_magnitude(d) -> np.ndarray:
@@ -340,7 +323,7 @@ def harmonic_period(p_f: float, ts_star: int) -> int | None:
         n += 1
 
 
-def find_tp(profile, max_lag: int, ts_star: int) -> tuple[int, np.ndarray]:
+def find_tp(profile, max_lag: int, ts_star: int) -> int:
     """Fundamental period of a lag profile via its first non-DC DFT peak.
 
     The analysis window is the smallest power of two covering ts_star,
@@ -348,7 +331,6 @@ def find_tp(profile, max_lag: int, ts_star: int) -> tuple[int, np.ndarray]:
     the data limit max_lag.
     """
     level = max(2, math.ceil(math.log2(max(ts_star, 2))))
-    d: dict[int, float] = {}
     while True:
         length = 2**level
         if length > max_lag:
@@ -356,17 +338,11 @@ def find_tp(profile, max_lag: int, ts_star: int) -> tuple[int, np.ndarray]:
                 f"no non-DC spectral peak up to window {length // 2}; "
                 "the stream looks aperiodic"
             )
-        for x in range(1, length + 1):
-            if x not in d:
-                d[x] = profile(x)
-        spectrum = dft_magnitude([d[x] for x in range(1, length + 1)])
+        spectrum = dft_magnitude([profile(x) for x in range(1, length + 1)])
         k_star = first_spectral_peak(spectrum)
         if k_star is not None:
-            p_f = length / k_star
-            tp = harmonic_period(p_f, ts_star)
-            if tp is None:
-                tp = 1  # ts_star == 1 leaves no admissible harmonic
-            return tp, spectrum
+            # ts_star == 1 leaves no admissible harmonic
+            return harmonic_period(length / k_star, ts_star) or 1
         level += 1
 
 
@@ -377,18 +353,13 @@ def resolve_period(ts_star: int, tp: int) -> int:
     return tp * math.ceil(max(ts_star - 1, 1) / tp)
 
 
-def paper_period(
-    stream: ObservationStream,
-    initial_exponent: int = 2,
-    eps: float = DEFAULT_EPS,
-) -> int:
+def paper_period(stream: ObservationStream, eps: float = DEFAULT_EPS) -> int:
     """The source paper's blind period: valley scans resolved with the DFT.
 
-    Per-sensor valley scans pick the largest single-sensor decorrelation
-    lag, a joint rerun over all sensors refines it into ts_star, the
-    spectral step supplies the fundamental period tp, and ``resolve_period``
-    combines the two.  One memoized lag profile is shared by every scan
-    and dropped on return, so each (sensors, lag) is evaluated once.
+    The joint valley scan over all sensors gives ts_star, the spectral step
+    supplies the fundamental period tp, and ``resolve_period`` combines the
+    two.  One memoized lag profile is shared by every scan and dropped on
+    return, so each (sensors, lag) is evaluated once.
     """
 
     @functools.cache
@@ -396,16 +367,13 @@ def paper_period(
         return lag_dependence(stream, x, sensors=sensors, eps=eps)
 
     max_lag = stream.slot_count // 2
-    per_sensor = [
-        find_ts(functools.partial(profile, (i,)), max_lag, initial_exponent)
-        for i in range(stream.sensor_count)
-    ]
-    ts_max = max(per_sensor)
-    l0 = max(initial_exponent, math.ceil(math.log2(max(ts_max, 2))))
+    # the per-sensor scans set no lag of the joint scan: all they still do is
+    # raise NoValleyError or InsufficientDataError for a sensor without a valley
+    for i in range(stream.sensor_count):
+        find_ts(functools.partial(profile, (i,)), max_lag)
     joint = functools.partial(profile, None)
-    ts_star = find_ts(joint, max_lag, l0)
-    tp, _ = find_tp(joint, max_lag, ts_star)
-    return resolve_period(ts_star, tp)
+    ts_star = find_ts(joint, max_lag)
+    return resolve_period(ts_star, find_tp(joint, max_lag, ts_star))
 
 
 def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> CbnModel:

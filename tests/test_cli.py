@@ -316,6 +316,28 @@ class TestBenchCommand:
         assert not out.exists()
         assert "--M" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", [",", ""])
+    def test_sensor_list_empty(self, tmp_path, capsys, m):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", f"--M={m}", "--N", 1000, "--out", out) == 2
+        assert not out.exists()
+        assert "--M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_slot_count_below_one(self, tmp_path, capsys, n):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--M", 4, f"--N={n}", "--out", out) == 2
+        assert not out.exists()
+        assert "--N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("secs", ["nan", "inf", "0", "-1"])
+    def test_timeout_not_positive(self, tmp_path, capsys, secs):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", "--M", 4, "--N", 1000, "--repeat", 2,
+                       f"--timeout-secs={secs}", "--out", out) == 2
+        assert not out.exists()
+        assert "--timeout-secs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("repeat", [0, -1])
     def test_repeat_below_one(self, tmp_path, capsys, repeat):
         out = tmp_path / "bench.csv"

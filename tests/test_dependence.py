@@ -26,11 +26,11 @@ def random_cpt(M, seed, lo=0.05, hi=0.95):
 
 class TestDifferenceOperator:
     def test_m1_single_column(self):
-        L = difference_operator(1).dense()
+        L = difference_operator(1)
         assert L.tolist() == [[1], [-1]]
 
     def test_m2_matches_printed_blocks(self):
-        L = difference_operator(2).dense()
+        L = difference_operator(2)
         # block 1 (parent 1): +1@00,-1@10 then +1@01,-1@11
         assert L[:, 0].tolist() == [1, 0, -1, 0]
         assert L[:, 1].tolist() == [0, 1, 0, -1]
@@ -40,8 +40,7 @@ class TestDifferenceOperator:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4])
     def test_column_structure(self, M):
-        op = difference_operator(M)
-        L = op.dense()
+        L = difference_operator(M)
         assert L.shape == (2**M, M * 2 ** (M - 1))
         for col in range(L.shape[1]):
             c = L[:, col]
@@ -57,6 +56,12 @@ class TestDifferenceOperator:
     def test_m_too_large(self):
         with pytest.raises(DimensionError):
             difference_operator(25)
+
+    @pytest.mark.parametrize("M", [13, 16])
+    def test_dense_cap(self, M):
+        # refused before the 2^M x M * 2^(M-1) matrix is allocated
+        with pytest.raises(DimensionError):
+            difference_operator(M)
 
 
 class TestCpbdClique:
@@ -92,7 +97,7 @@ class TestCpbdClique:
     def test_stacked_tables_match_dense_operator(self, M):
         cpts = [random_cpt(M, seed * 31 + M) for seed in range(6)]
         D = cpbd_tables(M, np.stack([cpt.B for cpt in cpts]))
-        L = difference_operator(M).dense().astype(np.float64)
+        L = difference_operator(M).astype(np.float64)
         for cpt, got in zip(cpts, D, strict=True):
             # rows of L.T are (block k, assignment a); columns are children i,
             # so block-summing gives D[parent k, child i] directly

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbnet import (
     DimensionError,
@@ -12,6 +14,7 @@ from cbnet import (
     InsufficientDataError,
     LearnConfig,
     NoPeakError,
+    NoValleyError,
     ObservationStream,
     PeriodEstimate,
     PeriodRangeError,
@@ -174,6 +177,31 @@ class TestFindTs:
         s = planted_stream(8, 2500)
         assert find_ts(lambda x: lag_dependence(s, x), s.slot_count // 2) <= 9
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=3, max_size=40),
+        data=st.data(),
+    )
+    def test_first_valley_by_definition(self, values, data):
+        # values[x - 1] is the profile at lag x; few levels make plateaus and ties
+        max_lag = data.draw(st.integers(3, len(values)))
+        seen = []
+
+        def profile(x):
+            seen.append(x)
+            return values[x - 1]
+
+        d = dict(enumerate(values, start=1))
+        valleys = [
+            x for x in range(3, max_lag) if d[x] <= d[x - 1] and d[x] <= d[x + 1]
+        ]
+        if valleys:
+            assert find_ts(profile, max_lag) == valleys[0]
+        else:
+            with pytest.raises(NoValleyError):
+                find_ts(profile, max_lag)
+        assert max(seen) <= max_lag
+
 
 class TestDftMagnitude:
     def test_constant_sequence(self):
@@ -204,10 +232,28 @@ class TestDftMagnitude:
 class TestFindTp:
     def test_period8_comb(self):
         s = stream_of([[0, 1] * 600])
-        tp, spectrum = find_tp(
-            lambda x: 1.0 if x % 8 == 0 else 0.0, s.slot_count // 2, 7
-        )
+        tp = find_tp(lambda x: 1.0 if x % 8 == 0 else 0.0, s.slot_count // 2, 7)
         assert tp == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=3, max_size=70),
+        data=st.data(),
+    )
+    def test_no_lag_above_max_lag(self, values, data):
+        max_lag = data.draw(st.integers(3, len(values)))
+        ts_star = data.draw(st.integers(1, max_lag))
+        seen = []
+
+        def profile(x):
+            seen.append(x)
+            return values[x - 1]
+
+        try:
+            assert isinstance(find_tp(profile, max_lag, ts_star), int)
+        except NoPeakError:
+            pass
+        assert max(seen, default=1) <= max_lag
 
     def test_constant_profile_has_no_peak(self):
         s = stream_of([[0, 1] * 40])
@@ -218,7 +264,7 @@ class TestFindTp:
         s = planted_stream(6, 2**13, seed=1)
         max_lag = s.slot_count // 2
         ts = find_ts(lambda x: lag_dependence(s, x), max_lag)
-        tp, _ = find_tp(lambda x: lag_dependence(s, x), max_lag, ts)
+        tp = find_tp(lambda x: lag_dependence(s, x), max_lag, ts)
         expected = {6, 3, 2} if ts <= 6 else {6}
         assert tp in expected
 
@@ -294,13 +340,8 @@ class TestLearnCbn:
 
         s = planted_stream(12, 300, seed=2)
         max_lag = s.slot_count // 2
-        ts = [
-            find_ts(lambda x: lag_dependence(s, x, [i]), max_lag)
-            for i in range(s.sensor_count)
-        ]
-        l0 = max(2, math.ceil(math.log2(max(max(ts), 2))))
-        ts_star = find_ts(lambda x: lag_dependence(s, x), max_lag, l0)
-        tp, _ = find_tp(lambda x: lag_dependence(s, x), max_lag, ts_star)
+        ts_star = find_ts(lambda x: lag_dependence(s, x), max_lag)
+        tp = find_tp(lambda x: lag_dependence(s, x), max_lag, ts_star)
         reference = learn_cbn(s, LearnConfig(period=resolve_period(ts_star, tp)))
 
         keys = []
@@ -568,6 +609,25 @@ WIDE_LAG_DEPENDENCE = {
 
 
 class TestBlindPeriod:
+    def test_sensor_without_valley_fails_the_search(self, monkeypatch):
+        # the per-sensor scans set no lag of the joint scan, but a sensor
+        # whose profile has no valley still fails the paper's rule
+        import cbnet.period as period
+
+        s = planted_stream(4, 50)
+        falling = set()
+
+        def fake(stream, x, sensors=None, eps=1e-3):
+            if sensors is not None and tuple(sensors)[0] in falling:
+                return -float(x)  # strictly decreasing: no valley
+            return float(abs(x - 5))  # valley at lag 5
+
+        monkeypatch.setattr(period, "lag_dependence", fake)
+        assert paper_period(s) >= 1
+        falling.add(0)
+        with pytest.raises(NoValleyError):
+            paper_period(s)
+
     def test_blind_learn_is_repeatable(self):
         s = criterion4_stream(8, 3)
         a, b = learn_cbn(s), learn_cbn(s)
