@@ -10,7 +10,7 @@ conditional-mutual-information baseline and a road-traffic simulator round
 out the toolkit.
 """
 
-from .baseline import CmiScores, cmi_edge, conventional_learn
+from .baseline import cmi_edge, conventional_learn
 from .cpt import (
     DEFAULT_EPS,
     CliqueCPT,
@@ -39,7 +39,7 @@ from .errors import (
     SessionBoundsError,
     ShapeMismatchError,
 )
-from .observations import FoldedObservations, ObservationStream, fold, frame_pair
+from .observations import ObservationStream, fold, frame_pair
 from .period import (
     CbnModel,
     LearnConfig,
@@ -61,13 +61,11 @@ __all__ = [
     "CbnModel",
     "CbnetError",
     "CliqueCPT",
-    "CmiScores",
     "ConfigError",
     "DEFAULT_EPS",
     "DependenceMatrix",
     "DimensionError",
     "EmptyInputError",
-    "FoldedObservations",
     "InsufficientDataError",
     "LearnConfig",
     "NoPeakError",

@@ -15,26 +15,17 @@ the benchmark output and README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cpt import _check_pair
 
 
-@dataclass(frozen=True)
-class CmiScores:
-    M: int
-    #: scores[k, i] = I(child i ; parent k | other parents), 0-based: parent
-    #: row, child column, as in ``DependenceMatrix.D``
-    scores: np.ndarray = field(repr=False)
-
-
 def cmi_edge(parent, child, k: int, i: int) -> float:
     """Empirical I(child_i ; parent_k | other parents), 1-based parent k, child i.
 
     The indices come in matrix order, so ``cmi_edge(parent, child, k, i)``
-    is ``conventional_learn(parent, child).scores[k - 1, i - 1]``.
+    is ``conventional_learn(parent, child)[k - 1, i - 1]``.
 
     The sum enumerates all 2^(M+1) realizations of (all parents, child);
     zero-count terms are skipped (the usual 0*log 0 = 0 convention).
@@ -79,8 +70,12 @@ def cmi_edge(parent, child, k: int, i: int) -> float:
     return total
 
 
-def conventional_learn(parent, child) -> CmiScores:
-    """Score all M^2 edges with cmi_edge, recounting from scratch each time."""
+def conventional_learn(parent, child) -> np.ndarray:
+    """Score all M^2 edges with cmi_edge, recounting from scratch each time.
+
+    The M x M scores hold parent rows and child columns, as in
+    ``DependenceMatrix.D``.
+    """
     parent, child = _check_pair(parent, child)
     M = parent.shape[0]
     scores = np.zeros((M, M))
@@ -88,5 +83,4 @@ def conventional_learn(parent, child) -> CmiScores:
         for i in range(1, M + 1):
             scores[k - 1, i - 1] = cmi_edge(parent, child, k, i)
     # plug-in CMI is a KL divergence, so only float error dips below zero
-    scores = np.where((scores < 0) & (scores > -1e-12), 0.0, scores)
-    return CmiScores(M=M, scores=scores)
+    return np.where((scores < 0) & (scores > -1e-12), 0.0, scores)

@@ -196,8 +196,8 @@ def cmd_simulate(args) -> int:
     try:
         v_lo, v_hi = float(lo), float(hi)
     except ValueError:
-        print(f"bad --speed-kmh '{args.speed_kmh}', expected lo:hi", file=sys.stderr)
-        return 2
+        msg = f"bad --speed-kmh '{args.speed_kmh}', expected lo:hi"
+        raise ValueError(msg) from None
     config = SimulationConfig(
         duration_slots=args.slots,
         num_cells=args.cells,
@@ -276,12 +276,10 @@ def _bench_one_m(m: int, n: int, seed: int, repeat: int, timeout: float | None):
             timings[method].append(elapsed)
             if timeout is not None and elapsed > timeout:
                 aborted = True
-    if timings["proposed"] and timings["conventional"]:
-        ratio = statistics.median(timings["conventional"]) / statistics.median(
-            timings["proposed"]
-        )
-    else:
-        ratio = -1.0
+    # repeat >= 1 and trial 1 always runs, so neither timing list is empty
+    ratio = statistics.median(timings["conventional"]) / statistics.median(
+        timings["proposed"]
+    )
     return records, ratio
 
 
@@ -289,8 +287,8 @@ def cmd_bench(args) -> int:
     try:
         m_list = [int(v) for v in args.M.split(",") if v]
     except ValueError:
-        print(f"bad --M '{args.M}', expected comma-separated integers", file=sys.stderr)
-        return 2
+        msg = f"bad --M '{args.M}', expected comma-separated integers"
+        raise ValueError(msg) from None
     if not m_list:
         raise ValueError(f"--M '{args.M}' lists no sensor count")
     for m in m_list:

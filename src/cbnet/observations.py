@@ -1,13 +1,13 @@
 """Binary sensor streams and period-indexed folding.
 
 A stream holds M synchronous on/off sensor rows over N time slots.  Folding
-at a candidate period P reshapes each row into P phase columns of F frames,
-so that samples P slots apart become repeated observations of one variable.
+at a candidate period P views each row as F frames of P phases, so that
+samples P slots apart become repeated observations of one variable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,57 +59,38 @@ class ObservationStream:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class FoldedObservations:
-    """A stream folded at period P into an (M, P, F) phase/frame array.
+def fold(stream: ObservationStream, period: int) -> np.ndarray:
+    """The (M, F, P) frame view of a stream folded at period P.
 
-    columns[i, t-1, k-1] is the raw value of sensor i at slot t + (k-1)*P
-    (slots 1-based).  Trailing N_raw mod P slots are discarded.
+    frames[i, k, t] is sensor i at 0-based slot k*P + t: frame k, phase
+    t + 1.  The trailing N mod P slots are dropped, and nothing is copied.
+    P must leave at least two frames.
     """
-
-    period: int
-    columns: np.ndarray = field(repr=False)
-
-    @property
-    def frame_count(self) -> int:
-        return self.columns.shape[2]
-
-    def unfold(self) -> np.ndarray:
-        """Reconstruct the first F*P raw slots, sensor-major."""
-        m, p, f = self.columns.shape
-        return self.columns.transpose(0, 2, 1).reshape(m, f * p)
-
-
-def fold(stream: ObservationStream, period: int) -> FoldedObservations:
-    """Fold a stream at candidate period P (needs at least two frames)."""
     n = stream.slot_count
     if not 1 <= period <= n // 2:
         raise PeriodRangeError(
             f"fold period {period} outside [1, {n // 2}] for {n} slots"
         )
     f = n // period
-    m = stream.sensor_count
-    used = stream.values[:, : f * period]
-    columns = used.reshape(m, f, period).transpose(0, 2, 1)
-    return FoldedObservations(period=period, columns=np.ascontiguousarray(columns))
+    return stream.values[:, : f * period].reshape(stream.sensor_count, f, period)
 
 
 def frame_pair(
-    folded: FoldedObservations, t: int, circular: bool = False
+    frames: np.ndarray, t: int, circular: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Parent/child frame matrices for the clique between phases t and t+1.
 
-    Phases are 1-based.  For t < P both matrices have K = F columns.  For
-    t = P the child comes from phase 1 of the next frame; non-circular
-    pairing drops the final wrap-around pair (K = F-1), circular pairing
-    keeps it by cyclically shifting phase 1 (K = F).
+    ``frames`` is a fold's (M, F, P) view; phases are 1-based.  For t < P
+    both matrices have K = F columns.  For t = P the child comes from phase
+    1 of the next frame; non-circular pairing drops the final wrap-around
+    pair (K = F-1), circular pairing keeps it by cyclically shifting phase 1
+    (K = F).
     """
-    p = folded.period
+    p = frames.shape[2]
     if not 1 <= t <= p:
         raise PhaseRangeError(f"phase {t} outside [1, {p}]")
-    cols = folded.columns
     if t < p:
-        return cols[:, t - 1, :], cols[:, t, :]
+        return frames[:, :, t - 1], frames[:, :, t]
     if circular:
-        return cols[:, p - 1, :], np.roll(cols[:, 0, :], -1, axis=1)
-    return cols[:, p - 1, :-1], cols[:, 0, 1:]
+        return frames[:, :, p - 1], np.roll(frames[:, :, 0], -1, axis=1)
+    return frames[:, :-1, p - 1], frames[:, 1:, 0]

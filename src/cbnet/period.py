@@ -48,7 +48,6 @@ from .errors import (
     InsufficientDataError,
     NoPeakError,
     NoValleyError,
-    PeriodRangeError,
 )
 from .observations import ObservationStream, fold, frame_pair
 
@@ -120,7 +119,7 @@ def lag_dependence(
     per-phase CPbD matrices, taken in phase order and averaged over phases
     and edges: the profile ``paper_period`` searches.
     """
-    values = stream.values
+    frames = fold(stream, x)
     if sensors is not None:
         # the selection must be non-empty, in range and without repeats
         idx = list(sensors)
@@ -128,24 +127,14 @@ def lag_dependence(
             raise EmptyInputError("no sensors selected")
         if len({range(stream.sensor_count)[i] for i in idx}) != len(idx):
             raise ValueError(f"sensors {idx} repeat an index")
-        values = values[idx]
-    m = values.shape[0]
-    parent, child = _lag_frames(values, x)
+        frames = frames[idx]
+    m = frames.shape[0]
+    parent, child = frames[:, :-1], frames[:, 1:]
     total = 0.0
     for p in range(x):
         cpt = bbcpt(parent[:, :, p], child[:, :, p], eps=eps)
         total += float(cpbd_clique(cpt).D.sum())
     return total / (x * m * m)
-
-
-def _lag_frames(values: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Parent and child frames, [sensor, frame, phase], of a fold at lag x."""
-    m, n = values.shape
-    if not 1 <= x <= n // 2:
-        raise PeriodRangeError(f"lag {x} outside [1, {n // 2}] for {n} slots")
-    f = n // x
-    frames = values[:, : f * x].reshape(m, f, x)  # [sensor, frame, phase]
-    return frames[:, :-1], frames[:, 1:]
 
 
 def _xlogx(k: int) -> np.ndarray:
@@ -206,7 +195,7 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray, orders=(None,)):
     return g, df, cap
 
 
-def surrogate_null(values: np.ndarray, x: int) -> np.ndarray:
+def surrogate_null(stream: ObservationStream, x: int) -> np.ndarray:
     """Mean per-phase G of ``SURROGATES`` frame-shuffled copies of a lag-x fold.
 
     Each copy draws one permutation of the frames and applies it to the
@@ -214,7 +203,8 @@ def surrogate_null(values: np.ndarray, x: int) -> np.ndarray:
     pattern counts and child totals and breaks only their pairing.  The
     generator is seeded with the lag, so a search is deterministic.
     """
-    parent, child = _lag_frames(values, x)
+    frames = fold(stream, x)
+    parent, child = frames[:, :-1], frames[:, 1:]
     rng = np.random.default_rng(x)
     orders = [rng.permutation(parent.shape[1]) for _ in range(SURROGATES)]
     return phase_dependence(parent, child, orders)[0].mean(axis=0)
@@ -231,9 +221,8 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     every phase at least two frame pairs (x <= N/3) are tested, candidates
     and multiples alike; a stream of fewer than 6 slots has none.
     Surrogates are drawn only for a lag that the null-mean cap cannot
-    already reject.  Each lag is folded, counted and shuffled at most once.
+    already reject.  Each lag is counted and shuffled at most once.
     """
-    values = stream.values
     # a lag is testable while every phase keeps at least two frame pairs
     max_lag = stream.slot_count // 3
     if max_lag < 2:
@@ -245,7 +234,8 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
 
     def at_null(x: int, average: bool) -> bool:
         if x not in observed:
-            g, df, cap = phase_dependence(*_lag_frames(values, x))
+            frames = fold(stream, x)
+            g, df, cap = phase_dependence(frames[:, :-1], frames[:, 1:])
             g = g[0]
             sd = np.sqrt(2.0 * np.maximum(df, 1) * (1.0 + 1.0 / SURROGATES))
             observed[x] = (g, cap, sd, math.sqrt(float((sd**2).sum())))
@@ -260,7 +250,7 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
         if rejects(cap):
             return False
         if x not in nulls:
-            nulls[x] = surrogate_null(values, x)
+            nulls[x] = surrogate_null(stream, x)
         return not rejects(nulls[x])
 
     first = None
@@ -392,14 +382,12 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
 
     if config.period is not None:
         period = int(config.period)
-        if not 1 <= period <= stream.slot_count // 2:
-            raise PeriodRangeError(
-                f"period override {period} outside [1, {stream.slot_count // 2}]"
-            )
     else:
         first, period = find_null_period(stream)
         estimate = PeriodEstimate(ts_star=first, tp=period)
 
+    # fold range-checks the period, override or not, before the warning
+    frames = fold(stream, period)
     if stream.slot_count < 4 * period:
         warnings.warn(
             f"stream of {stream.slot_count} slots is short for period "
@@ -407,11 +395,10 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
             stacklevel=2,
         )
 
-    folded = fold(stream, period)
     cpts = []
     deps = []
     for t in range(1, period):
-        parent, child = frame_pair(folded, t, circular=False)
+        parent, child = frame_pair(frames, t, circular=False)
         cpt = bbcpt(parent, child, eps=eps)
         cpts.append(cpt)
         deps.append(normalize(cpbd_clique(cpt)))

@@ -86,6 +86,15 @@ class TestLearnCommand:
         assert np.array(doc["cpts"][0]).shape == (8, 3)
         assert doc["ts_star"] is None  # estimation skipped
 
+    @pytest.mark.parametrize("period", [0, 1001])
+    def test_period_out_of_range(self, tmp_path, capsys, period):
+        obs = simulate(tmp_path, slots=2000)
+        model_path = tmp_path / "model.json"
+        assert run_cli("learn", "--input", obs, "--output", model_path,
+                       "--period", period) == 2
+        assert not model_path.exists()
+        assert f"period {period} outside [1, 1000]" in capsys.readouterr().err
+
     def test_learned_period_recorded(self, tmp_path):
         obs = simulate(tmp_path, slots=36000, seed=3)
         model_path = tmp_path / "model.json"
@@ -318,6 +327,13 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("m", [",", ""])
     def test_sensor_list_empty(self, tmp_path, capsys, m):
+        out = tmp_path / "bench.csv"
+        assert run_cli("bench", f"--M={m}", "--N", 1000, "--out", out) == 2
+        assert not out.exists()
+        assert "--M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["a", "4,x"])
+    def test_sensor_list_not_integers(self, tmp_path, capsys, m):
         out = tmp_path / "bench.csv"
         assert run_cli("bench", f"--M={m}", "--N", 1000, "--out", out) == 2
         assert not out.exists()

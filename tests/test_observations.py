@@ -42,21 +42,21 @@ class TestFold:
         # row r1..r9 folded at 3: phase columns interleave with stride 3
         s = make_stream([[1, 0, 0, 1, 1, 0, 1, 0, 1]])
         f = fold(s, 3)
-        assert f.columns[0, 0].tolist() == [1, 1, 1]  # r1, r4, r7
-        assert f.columns[0, 1].tolist() == [0, 1, 0]  # r2, r5, r8
-        assert f.columns[0, 2].tolist() == [0, 0, 1]  # r3, r6, r9
+        assert f[0, :, 0].tolist() == [1, 1, 1]  # r1, r4, r7
+        assert f[0, :, 1].tolist() == [0, 1, 0]  # r2, r5, r8
+        assert f[0, :, 2].tolist() == [0, 0, 1]  # r3, r6, r9
 
     def test_identity_fold(self):
         s = make_stream([[1, 0, 1, 1]])
         f = fold(s, 1)
-        assert f.frame_count == 4
-        assert f.columns[0, 0].tolist() == [1, 0, 1, 1]
+        assert f.shape[1] == 4
+        assert f[0, :, 0].tolist() == [1, 0, 1, 1]
 
     def test_trailing_slots_discarded(self):
         s = make_stream([np.arange(10) % 2])
         f = fold(s, 4)
-        assert f.frame_count == 2
-        assert f.unfold().shape == (1, 8)
+        assert f.shape[1] == 2
+        assert f.reshape(1, -1).shape == (1, 8)
 
     @pytest.mark.parametrize("period", [0, -1, 6, 100])
     def test_period_out_of_range(self, period):
@@ -79,8 +79,11 @@ class TestFold:
         s = make_stream(values)
         p = data.draw(st.integers(1, n // 2))
         f = fold(s, p)
-        used = f.frame_count * p
-        assert np.array_equal(f.unfold(), s.values[:, :used])
+        assert f.shape == (m, n // p, p)
+        # a view of the stream, not a copy
+        assert np.shares_memory(f, s.values)
+        used = f.shape[1] * p
+        assert np.array_equal(f.reshape(m, used), s.values[:, :used])
 
 
 class TestFramePair:
@@ -93,19 +96,19 @@ class TestFramePair:
 
     def test_interior_phase(self):
         parent, child = frame_pair(self.f, 1)
-        assert np.array_equal(parent, self.f.columns[:, 0, :])
-        assert np.array_equal(child, self.f.columns[:, 1, :])
+        assert np.array_equal(parent, self.f[:, :, 0])
+        assert np.array_equal(child, self.f[:, :, 1])
 
     def test_last_phase_non_circular(self):
         parent, child = frame_pair(self.f, 3)
         assert parent.shape == (2, 2)
         # child comes from phase 1, frames 2..F
-        assert np.array_equal(child, self.f.columns[:, 0, 1:])
+        assert np.array_equal(child, self.f[:, 1:, 0])
 
     def test_last_phase_circular_wraps(self):
         parent, child = frame_pair(self.f, 3, circular=True)
         assert parent.shape == (2, 3)
-        assert np.array_equal(child[:, -1], self.f.columns[:, 0, 0])
+        assert np.array_equal(child[:, -1], self.f[:, 0, 0])
 
     def test_phase_out_of_range(self):
         for t in (0, 4):
@@ -116,13 +119,10 @@ class TestFramePair:
     def test_circular_pairs_cover_raw_successors_once(self, f_count, p):
         # mechanism behind the proposition tests: the union of circular
         # frame pairs over all phases is exactly {(j, j+1 mod F*P)}, each
-        # pair once.  Filling the folded columns with raw slot indices makes
+        # pair once.  Filling the folded frames with raw slot indices makes
         # the check exact at the index level.
-        from cbnet.observations import FoldedObservations
-
         used = f_count * p
-        idx = np.arange(used).reshape(f_count, p).T[None, :, :]
-        folded = FoldedObservations(period=p, columns=idx)
+        folded = np.arange(used).reshape(1, f_count, p)
         pairs = []
         for t in range(1, p + 1):
             parent, child = frame_pair(folded, t, circular=True)

@@ -438,8 +438,8 @@ class TestPhaseDependence:
 
     def test_surrogates_seeded_by_lag(self):
         s = planted_stream(4, 500, seed=1)
-        a = surrogate_null(s.values, 6)
-        assert np.array_equal(a, surrogate_null(s.values, 6))
+        a = surrogate_null(s, 6)
+        assert np.array_equal(a, surrogate_null(s, 6))
         assert a.shape == (6,) and (a >= 0).all()
 
 
