@@ -5,8 +5,17 @@ at a uniformly drawn constant speed, and while on the road start data
 sessions as a per-user Poisson process with exponentially distributed
 durations (overlapping sessions allowed).  Each cell's base station reads 1
 at a sampling instant iff some user inside the cell has an active session.
-Randomness comes from a single PCG64 generator, so equal (config, seed)
-pairs reproduce streams bit-identically across platforms.
+
+Randomness comes from a single PCG64 bit generator, so equal (config, seed)
+pairs reproduce streams bit-identically.  The draws are those of
+``np.random.Generator(PCG64(seed))``'s scalar ``standard_exponential()`` and
+``random()`` calls, in stream order, but they are decoded in blocks from the
+bit generator's raw words (``cbnet.ziggurat``), which saves the ~1 us that
+each scalar call costs.  The ziggurat's tables there are transcribed from
+numpy 2.4.6's ``libnpyrandom.a`` (``we_double``, ``ke_double``,
+``fe_double``); the streams therefore rest only on PCG64's raw words, which
+numpy keeps stable, and a test compares the decode with the Generator's own
+draws.
 """
 
 from __future__ import annotations
@@ -22,6 +31,9 @@ KMH_TO_MS = 1.0 / 3.6
 
 #: (session, slot) rows marked per block by ``Simulation.run``
 _MARK_ROWS = 1 << 18
+#: PCG64 words decoded per block by ``Simulation._draw``; a larger block
+#: raises the peak memory of a run more than it saves time
+_DRAW_WORDS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -79,27 +91,35 @@ class Simulation:
         self._scripted.append((float(entry_time), float(speed), sessions))
         return self
 
-    def _draw(self, rng: np.random.Generator, horizon: float):
+    def _draw(self, bitgen: np.random.PCG64, horizon: float):
         """Poisson arrivals on [0, horizon); sessions drawn per user in entry order.
 
         Returns the columns (entry, speed), one item per user, and (owner,
         start, end), one item per session, ``owner`` indexing the user, as
-        ``array.array`` buffers.  Every draw is one scalar call, in the
-        order of the generator's stream: ``scale * standard_exponential()``
-        and ``lo + (hi - lo) * random()`` are numpy's own arithmetic for
-        ``exponential(scale)`` and ``uniform(lo, hi)`` without their
-        argument handling.  Bulk draws would change the streams, because
-        the ziggurat exponential takes a variable number of words.
+        ``array.array`` buffers.  The draws are those of
+        ``np.random.Generator(bitgen)``, in its stream's order and bit for
+        bit: ``scale * standard_exponential()`` and ``lo + (hi - lo) *
+        random()``, numpy's own arithmetic for ``exponential(scale)`` and
+        ``uniform(lo, hi)``.  They are decoded from the raw words of
+        ``bitgen`` in blocks of ``_DRAW_WORDS`` by ``cbnet.ziggurat.Words``,
+        whose tables are numpy's, and the loop reads them at a cursor: a
+        negative value marks a draw that ``Words`` makes itself (a
+        ziggurat reject, or the end of a block).
         """
         # imported here, not at the top: every cbnet command loads this
-        # module, and only a simulation needs the shared library
+        # module, and only a simulation needs the shared library or the
+        # ziggurat tables
         from array import array
+
+        from .ziggurat import Words
 
         cfg = self.config
         entry, speed = array("d"), array("d")
         owner, start, end = array("q"), array("d"), array("d")
         if cfg.arrival_rate > 0:
-            exponential, uniform = rng.standard_exponential, rng.random
+            words = Words(bitgen, _DRAW_WORDS)
+            exp, uni = words.exp, words.uni  # refilled in place
+            i = 0  # the cursor: the next word to read
             arrival_mean = 1.0 / cfg.arrival_rate
             v_lo, v_hi = cfg.speed_range
             v_span = v_hi - v_lo
@@ -107,10 +127,18 @@ class Simulation:
             service_mean, road_length = cfg.service_mean, cfg.road_length
             t = 0.0
             while True:
-                t += arrival_mean * exponential()
+                e = exp[i]
+                i += 1
+                if e < 0.0:
+                    e, i = words.exponential(i - 1)
+                t += arrival_mean * e
                 if t >= horizon:
                     break
-                v = v_lo + v_span * uniform()
+                u = uni[i]
+                i += 1
+                if u < 0.0:
+                    u, i = words.uniform(i - 1)
+                v = v_lo + v_span * u
                 user = len(entry)
                 entry.append(t)
                 speed.append(v)
@@ -119,10 +147,18 @@ class Simulation:
                 transit = road_length / v
                 s = 0.0
                 while True:
-                    s += gap_mean * exponential()
+                    e = exp[i]
+                    i += 1
+                    if e < 0.0:
+                        e, i = words.exponential(i - 1)
+                    s += gap_mean * e
                     if s >= transit:
                         break
-                    length = service_mean * exponential()
+                    e = exp[i]
+                    i += 1
+                    if e < 0.0:
+                        e, i = words.exponential(i - 1)
+                    length = service_mean * e
                     # the session cannot outlive the user's time on the road
                     owner.append(user)
                     start.append(t + s)
@@ -131,10 +167,22 @@ class Simulation:
 
     def run(self) -> ObservationStream:
         cfg = self.config
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
         n = cfg.duration_slots
         m = cfg.num_cells
-        entry, speed, owner, start, end = self._draw(rng, n * cfg.sense_interval)
+        # a stream too large to hold fails here, at once, and not after the
+        # draws have simulated every slot.  The stream itself is allocated
+        # after them: kept from here, it sat below their buffers in the heap,
+        # and road-360k's peak RSS read 0.5-1.4 MiB higher
+        try:
+            np.empty((m, n), dtype=np.int8)
+        except (ValueError, MemoryError):
+            raise ConfigError(
+                f"a stream of {m} cells x {n} slots ({m * n} bytes) "
+                f"cannot be allocated"
+            ) from None
+        entry, speed, owner, start, end = self._draw(
+            np.random.PCG64(cfg.seed), n * cfg.sense_interval
+        )
         for t, v, sessions in self._scripted:
             for s, e in sessions:
                 owner.append(len(entry))

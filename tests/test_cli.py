@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,18 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--slots", 10, flag, "nan", "--out", out) == 2
         assert not out.exists()
         assert "must be finite" in capsys.readouterr().err
+
+
+    def test_unallocatable_stream_fails_fast(self, tmp_path, capsys):
+        # 2**64 bytes: refused before the first draw, not after 2**32
+        # simulated seconds
+        out = tmp_path / "big.csv"
+        start = time.perf_counter()
+        code = run_cli("simulate", "--cells", 2**32, "--slots", 2**32, "--out", out)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "4294967296 cells x 4294967296 slots" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestLearnCommand:

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from cbnet import (
     SimulationConfig,
     run,
 )
+from cbnet import simulator, ziggurat
 from cbnet.simulator import KMH_TO_MS
 
 
@@ -133,8 +138,8 @@ class TestLongRunStatistics:
             duration_slots=100000, speed_range=(28.0, 44.0), seed=17
         )
         sim = Simulation(cfg)
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        entry, speed, *_ = sim._draw(rng, cfg.duration_slots * cfg.sense_interval)
+        bitgen = np.random.PCG64(cfg.seed)
+        entry, speed, *_ = sim._draw(bitgen, cfg.duration_slots * cfg.sense_interval)
         v_bar = 36.0
         expect = cfg.arrival_rate * (cfg.road_length / cfg.num_cells) / v_bar
         # count users in cell 1 at each sampling instant
@@ -150,8 +155,8 @@ class TestLongRunStatistics:
     def test_sensor_on_requires_occupied_cell(self):
         cfg = SimulationConfig(duration_slots=2000, seed=23)
         sim = Simulation(cfg)
-        rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        entry, speed, *_ = sim._draw(rng, cfg.duration_slots * cfg.sense_interval)
+        bitgen = np.random.PCG64(cfg.seed)
+        entry, speed, *_ = sim._draw(bitgen, cfg.duration_slots * cfg.sense_interval)
         entry, speed = np.asarray(entry), np.asarray(speed)
         v = sim.run().values
         cell_len = cfg.road_length / cfg.num_cells
@@ -233,3 +238,90 @@ class TestStreamDigests:
             sim.inject_user(*scripted)
         values = sim.run().values
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+class TestDrawBlocks:
+    """``Simulation._draw`` decodes PCG64 words in blocks of ``_DRAW_WORDS``."""
+
+    @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
+    def test_digest_with_tiny_blocks(self, name, monkeypatch):
+        # with 7 words a block, ~1 in 7 ziggurat rejects reads its second
+        # word from the next block
+        monkeypatch.setattr(simulator, "_DRAW_WORDS", 7)
+        TestStreamDigests().test_digest(name)
+
+    def test_import_leaves_tables_unloaded(self):
+        # every cbnet command imports cbnet; only a simulation needs the tables
+        src = str(Path(ziggurat.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, cbnet; sys.exit('cbnet.ziggurat' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def ziggurat_branches(raw):
+    """Count the ziggurat branches that exponential draws read back to back
+    from the words ``raw`` take, straight from numpy's algorithm."""
+    we, ke, fe = ziggurat.WE, ziggurat.KE, ziggurat.FE
+    r = raw >> 11
+    idx = ((raw >> 3) & 0xFF).astype(np.intp)
+    rejects = np.flatnonzero(r >= ke[idx])
+    counts = dict.fromkeys(("fast", "tail", "wedge accept", "wedge reject"), 0)
+    first = 0  # the first word of the next draw
+    for p in rejects.tolist():
+        if p < first or p + 1 == raw.size:
+            continue  # p is a reject's uniform, or has no word after it
+        counts["fast"] += p - first
+        first = p + 2
+        k = int(idx[p])
+        u = int(r[p + 1]) * 2.0**-53
+        x = int(r[p]) * float(we[k])
+        if k == 0:
+            counts["tail"] += 1
+        elif float(fe[k - 1] - fe[k]) * u + float(fe[k]) < math.exp(-x):
+            counts["wedge accept"] += 1
+        else:
+            counts["wedge reject"] += 1
+    return counts
+
+
+class TestZigguratDecode:
+    """``ziggurat.Words`` against numpy's own scalar draws, bit for bit.
+
+    A fresh Generator draws chunk after chunk, which is the same stream as
+    one long call.
+    """
+
+    N, CHUNK, BLOCK, SEED = 10_000_000, 1_000_000, 1 << 14, 20261018
+
+    def test_exponentials(self):
+        # exp[i] is the draw at cursor i where it is not -1.0, the mark of a
+        # draw that ``exponential(i)`` makes; a run of exp[i:j] is at most a
+        # block long, so it fits in the room left past a chunk
+        words = ziggurat.Words(np.random.PCG64(self.SEED), self.BLOCK)
+        ref = np.random.Generator(np.random.PCG64(self.SEED))
+        exp, i = words.exp, 0
+        got, n = np.empty(self.CHUNK + self.BLOCK + 1), 0
+        for _ in range(self.N // self.CHUNK):
+            while n < self.CHUNK:
+                j = exp.index(-1.0, i)
+                got[n:n + j - i] = exp[i:j]
+                n += j - i
+                got[n], i = words.exponential(j)
+                n += 1
+            assert np.array_equal(got[:self.CHUNK], ref.standard_exponential(self.CHUNK))
+            n -= self.CHUNK
+            got[:n] = got[self.CHUNK:self.CHUNK + n]
+
+    def test_uniforms(self):
+        # each uniform takes one word, so each refill decodes a whole block
+        words = ziggurat.Words(np.random.PCG64(self.SEED), self.BLOCK)
+        ref = np.random.Generator(np.random.PCG64(self.SEED))
+        for _ in range(-(-self.N // self.BLOCK)):
+            words.uniform(len(words.uni) - 1)
+            assert np.array_equal(words.uni[:-1], ref.random(self.BLOCK))
+
+    def test_every_branch_is_taken(self):
+        # the first words of the stream the tests above compare
+        raw = np.random.PCG64(self.SEED).random_raw(1 << 20)
+        counts = ziggurat_branches(raw)
+        assert all(counts.values()), counts
