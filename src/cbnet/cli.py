@@ -155,8 +155,10 @@ def model_from_dict(doc: dict) -> CbnModel:
     M must be an integer in [1, M_MAX] and T one >= 1; cpts must be
     (T-1) x 2^M x M with every entry in (0, 1), and deps (T-1) x M x M
     with every entry finite and >= 0.  Anything else is a ValueError that
-    names the field.
+    names the field, or the type of a document that is not a JSON object.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file holds {type(doc).__name__!r}, not a JSON object")
     for key in ("M", "T", "cpts", "deps"):
         if key not in doc:
             raise ValueError(f"model file missing field '{key}'")

@@ -137,34 +137,30 @@ def lag_dependence(
     return total / (x * m * m)
 
 
-def _xlogx(k: int) -> np.ndarray:
-    """n ln n for n = 0..k (0 at n = 0), indexed by the integer count."""
-    n = np.arange(k + 1, dtype=np.float64)
-    out = np.zeros(k + 1)
-    np.multiply(n[1:], np.log(n[1:]), out=out[1:])
-    return out
-
-
-def phase_dependence(parent: np.ndarray, child: np.ndarray, orders=(None,)):
+def phase_dependence(parent: np.ndarray, child: np.ndarray):
     """Within-phase likelihood-ratio statistics of M x K x P frame arrays.
 
     For each phase p, G[p] = 2 * sum over children i and parent patterns r
     of n_r KL(child_i | r  ||  child_i), the G test of the phase's CPT
     counts against a child that ignores its parents; it is 0 when no
-    pattern changes any child's frequency.  ``orders`` lists frame orders
-    in which the parent frames of every phase are paired with the child
-    frames, None for the observed pairing; G has one row per order.  The
-    parent keys are encoded once per block of phases and only re-ordered.
-    Also returns the degrees of freedom, (seen patterns - 1) per child that
-    takes both values, and the largest null mean, ``_NULL_CAP`` per seen
-    pattern and such child.
+    pattern changes any child's frequency.  Also returns the degrees of
+    freedom, (seen patterns - 1) per child that takes both values, the
+    largest null mean, ``_NULL_CAP`` per seen pattern and such child, and
+    ``score(orders)``: one row of G per frame order in which the parent
+    frames of every phase are paired with the child frames, from this
+    call's keys, as an order keeps each phase's pattern counts and totals.
     """
     m, k, x = parent.shape
-    phi = _xlogx(k)
+    phi = np.zeros(k + 1)  # n ln n at the integer count n, 0 at n = 0
+    phi[1:] = np.arange(1, k + 1) * np.log(np.arange(1, k + 1))
+
+    def block_g(ones, n, starts, fixed):  # from child-on counts per seen pattern
+        terms = (phi[ones] + phi[n[:, None] - ones]).sum(axis=-1)
+        return 2.0 * (np.add.reduceat(terms, starts) - fixed)
+
     block = max(1, _BLOCK_ELEMENTS // (2**m * m))
-    g = np.empty((len(orders), x))
-    df = np.empty(x, dtype=np.int64)
-    cap = np.empty(x)
+    g, cap, df = np.empty(x), np.empty(x), np.empty(x, dtype=np.int64)
+    blocks = []
     for lo in range(0, x, block):
         phases = slice(lo, lo + block)
         keys = clique_keys(parent[:, :, phases])
@@ -178,36 +174,35 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray, orders=(None,)):
         n = counts[seen]
         starts = np.searchsorted(seen >> m, np.arange(keys.shape[1]))
         c = child[:, :, phases]
-        for row, order in enumerate(orders):
-            ones = child_counts(keys if order is None else keys[order], c, seen.size)
-            ones = ones.astype(np.int64)
-            terms = (phi[ones] + phi[n[:, None] - ones]).sum(axis=-1)
-            g[row, phases] = np.add.reduceat(terms, starts)
-        # every order pairs the same child frames: the phase's child-on totals
-        on = np.add.reduceat(ones, starts)
+        ones = child_counts(keys, c, seen.size).astype(np.int64)
+        on = np.add.reduceat(ones, starts)  # the phase's child-on totals
         fixed = m * np.add.reduceat(phi[n], starts) - m * phi[k]
         fixed += (phi[on] + phi[k - on]).sum(axis=-1)
-        g[:, phases] = 2.0 * (g[:, phases] - fixed)
+        g[phases] = block_g(ones, n, starts, fixed)
+        blocks.append((phases, keys, c, n, starts, fixed))
         live = ((on > 0) & (on < k)).sum(axis=-1)
         rows = np.diff(starts, append=seen.size)  # seen patterns per phase
         df[phases] = (rows - 1) * live
         cap[phases] = _NULL_CAP * rows * live
-    return g, df, cap
+
+    def score(orders) -> np.ndarray:
+        out = []
+        for order in orders:  # any iterable: one order is held at a time
+            row = np.empty(x)
+            for phases, keys, c, n, starts, fixed in blocks:
+                ones = child_counts(keys[order], c, n.size).astype(np.int64)
+                row[phases] = block_g(ones, n, starts, fixed)
+            out.append(row)
+        return np.array(out)
+
+    return g, df, cap, score
 
 
-def surrogate_null(stream: ObservationStream, x: int) -> np.ndarray:
-    """Mean per-phase G of ``SURROGATES`` frame-shuffled copies of a lag-x fold.
-
-    Each copy draws one permutation of the frames and applies it to the
-    parent frames of every phase and every sensor, which keeps each phase's
-    pattern counts and child totals and breaks only their pairing.  The
-    generator is seeded with the lag, so a search is deterministic.
-    """
-    frames = fold(stream, x)
-    parent, child = frames[:, :-1], frames[:, 1:]
-    rng = np.random.default_rng(x)
-    orders = [rng.permutation(parent.shape[1]) for _ in range(SURROGATES)]
-    return phase_dependence(parent, child, orders)[0].mean(axis=0)
+def _rejects(excess: np.ndarray, sd: np.ndarray, average: bool) -> bool:
+    """Whether a lag's per-phase excesses over a null mean reject that null."""
+    if (excess > Z_PHASE * sd).any():
+        return True
+    return average and float(excess.sum()) > Z_AVERAGE * math.sqrt(float((sd**2).sum()))
 
 
 def find_null_period(stream: ObservationStream) -> tuple[int, int]:
@@ -220,8 +215,12 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     confirmed when 2x and 3x pass the per-phase test.  Only lags that leave
     every phase at least two frame pairs (x <= N/3) are tested, candidates
     and multiples alike; a stream of fewer than 6 slots has none.
-    Surrogates are drawn only for a lag that the null-mean cap cannot
-    already reject.  Each lag is counted and shuffled at most once.
+
+    Each lag is folded and counted once, at its first test, which scores its
+    ``SURROGATES`` lag-seeded shuffles too unless the cap already rejects;
+    only (G, sd, cap, null) is kept.  A lag is tested as a multiple (per
+    phase only) only before its own turn as a candidate, so a cap that
+    rejects its first test rejects every later one.
     """
     # a lag is testable while every phase keeps at least two frame pairs
     max_lag = stream.slot_count // 3
@@ -229,29 +228,24 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
         raise InsufficientDataError(
             f"stream of {stream.slot_count} slots is too short for a period search"
         )
-    observed: dict[int, tuple] = {}
-    nulls: dict[int, np.ndarray] = {}
+    tested: dict[int, tuple] = {}
 
     def at_null(x: int, average: bool) -> bool:
-        if x not in observed:
+        if x not in tested:
             frames = fold(stream, x)
-            g, df, cap = phase_dependence(frames[:, :-1], frames[:, 1:])
-            g = g[0]
+            g, df, cap, score = phase_dependence(frames[:, :-1], frames[:, 1:])
             sd = np.sqrt(2.0 * np.maximum(df, 1) * (1.0 + 1.0 / SURROGATES))
-            observed[x] = (g, cap, sd, math.sqrt(float((sd**2).sum())))
-        g, cap, sd, sd_sum = observed[x]
-
-        def rejects(null):
-            excess = g - null
-            if (excess > Z_PHASE * sd).any():
-                return True
-            return average and float(excess.sum()) > Z_AVERAGE * sd_sum
-
-        if rejects(cap):
+            null = None
+            if not _rejects(g - cap, sd, average):
+                permute = np.random.default_rng(x).permutation
+                orders = (permute(frames.shape[1] - 1) for _ in range(SURROGATES))
+                null = score(orders).mean(axis=0)
+            tested[x] = (g, sd, cap, null)
+        g, sd, cap, null = tested[x]
+        if _rejects(g - cap, sd, average):
             return False
-        if x not in nulls:
-            nulls[x] = surrogate_null(stream, x)
-        return not rejects(nulls[x])
+        assert null is not None, f"lag {x} tested as a multiple after its turn"
+        return not _rejects(g - null, sd, average)
 
     first = None
     for x in range(2, max_lag + 1):

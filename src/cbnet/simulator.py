@@ -169,16 +169,19 @@ class Simulation:
         cfg = self.config
         n = cfg.duration_slots
         m = cfg.num_cells
-        # a stream too large to hold fails here, at once, and not after the
-        # draws have simulated every slot.  The stream itself is allocated
-        # after them: kept from here, it sat below their buffers in the heap,
-        # and road-360k's peak RSS read 0.5-1.4 MiB higher
+        # a stream too large to hold, or its expected draws (users, and their
+        # sessions at the slowest speed), fail here at once, not after the
+        # draws.  The stream is allocated after them: kept from here, it sat
+        # below their buffers in the heap; road-360k's peak RSS read 0.5-1.4 MiB more
+        users = cfg.arrival_rate * n * cfg.sense_interval
+        sessions = users * cfg.traffic_rate * cfg.road_length / cfg.speed_range[0]
         try:
             np.empty((m, n), dtype=np.int8)
-        except (ValueError, MemoryError):
+            np.empty(int(2 * users + 3 * sessions), dtype=np.float64)
+        except (ValueError, MemoryError, OverflowError):
             raise ConfigError(
-                f"a stream of {m} cells x {n} slots ({m * n} bytes) "
-                f"cannot be allocated"
+                f"a stream of {m} cells x {n} slots ({m * n} bytes), or the draws of "
+                f"{users:.3g} users and {sessions:.3g} sessions, cannot be allocated"
             ) from None
         entry, speed, owner, start, end = self._draw(
             np.random.PCG64(cfg.seed), n * cfg.sense_interval

@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cbnet import LearnConfig, ObservationStream, learn_cbn
+from cbnet import (
+    CbnModel,
+    CliqueCPT,
+    DependenceMatrix,
+    LearnConfig,
+    ObservationStream,
+    learn_cbn,
+)
 from cbnet.cli import (
     EPS_MIN,
     main,
@@ -84,6 +92,22 @@ class TestSimulateCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert "4294967296 cells x 4294967296 slots" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--arrival-rate", "1e300"],
+        ["--traffic-rate", "1e300"],
+        ["--arrival-rate", "1e300", "--traffic-rate", "1e300"],  # inf sessions
+    ])
+    def test_impossible_rate_fails_fast(self, tmp_path, capsys, flags):
+        # refused before the first draw: 1e300 users once filled 2 GB in
+        # 2 minutes
+        out = tmp_path / "huge.csv"
+        start = time.perf_counter()
+        code = run_cli("simulate", "--slots", 10, *flags, "--out", out)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "cannot be allocated" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
 
@@ -307,6 +331,23 @@ class TestExportCommand:
         assert run_cli("export", "--model", path, "--dot", dot) == 0
         assert dot.read_text().count(" -> ") == edges
 
+    @pytest.mark.parametrize("text, kind", [
+        ("5", "int"),
+        ("null", "NoneType"),
+        ("true", "bool"),
+        ("1.5", "float"),
+        ('"M T cpts deps"', "str"),  # holds every field name
+        ("[]", "list"),
+    ])
+    def test_non_object_model_rejected(self, tmp_path, capsys, text, kind):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        dot, mats = tmp_path / "g.dot", tmp_path / "mats"
+        code = run_cli("export", "--model", path, "--dot", dot, "--csv-dir", mats)
+        assert code == 2
+        assert not dot.exists() and not mats.exists()
+        assert f"model file holds {kind!r}" in capsys.readouterr().err
+
     def test_missing_model_field(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps({"M": 3, "T": 8, "cpts": []}))
@@ -444,7 +485,49 @@ tables = st.integers(1, 5).flatmap(lambda width: st.builds(
 ))
 
 
+@st.composite
+def models(draw):
+    """Models of M <= 4 and T <= 4, B in (EPS_MIN, 1 - EPS_MIN), finite D >= 0."""
+    m, period = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    probs = st.floats(EPS_MIN, 1 - EPS_MIN, exclude_min=True, exclude_max=True)
+    cpts = draw(arrays(np.float64, (period - 1, 2**m, m), elements=probs))
+    weights = st.floats(0.0, allow_infinity=False)
+    deps = draw(arrays(np.float64, (period - 1, m, m), elements=weights))
+    counts = np.zeros(2**m, dtype=np.int64)
+    return CbnModel(
+        M=m,
+        period=period,
+        cpts=tuple(CliqueCPT(M=m, B=B, counts=counts) for B in cpts),
+        deps=tuple(DependenceMatrix(M=m, D=D) for D in deps),
+        estimate=None,
+        provenance={},
+    )
+
+
+def at_precision(table: np.ndarray) -> np.ndarray:
+    """Every entry rounded to the 12 significant digits of the model file."""
+    return np.array([float(f"{v:.12g}") for v in table.ravel().tolist()]).reshape(
+        table.shape)
+
+
 class TestModelJson:
+    @settings(max_examples=200, deadline=None)
+    @given(model=models())
+    def test_round_trip(self, model):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            write_model_json(model_to_dict(model), first)
+            with open(first) as fh:
+                back = model_from_dict(json.load(fh))
+            assert (back.M, back.period) == (model.M, model.period)
+            for a, b in zip(back.cpts, model.cpts, strict=True):
+                assert np.array_equal(a.B, at_precision(b.B))
+            for a, b in zip(back.deps, model.deps, strict=True):
+                assert np.array_equal(a.D, at_precision(b.D))
+            # the rounded model is written again to the same bytes
+            write_model_json(model_to_dict(back), second)
+            assert second.read_bytes() == first.read_bytes()
+
     def test_round_trip_at_precision(self, tmp_path):
         rng = np.random.default_rng(0)
         stream = ObservationStream((rng.random((2, 1000)) < 0.4).astype(np.int8))

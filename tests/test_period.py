@@ -1,7 +1,9 @@
 """Lag profile, valley/peak searches, period resolution, and learning."""
 
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,11 +32,11 @@ from cbnet import (
 )
 from cbnet.cpt import M_MAX
 from cbnet.period import (
+    SURROGATES,
     find_null_period,
     first_spectral_peak,
     harmonic_period,
     phase_dependence,
-    surrogate_null,
 )
 
 
@@ -402,6 +404,71 @@ def oracle_phase_g(stream, x):
     return np.array(g), np.array(df), np.array(cap)
 
 
+def exact_null_g(parent, child):
+    """Exact mean of each phase's G over all orders of its frames.
+
+    A frame order keeps a phase's pattern counts n_r and child-on totals
+    and pairs them at random, so the child-on count of a pattern is
+    hypergeometric: n_r draws from the K frames, ``on`` of which are on.
+    G's random part is a sum of x ln x terms of those counts, whose mean is
+    a finite sum over the support with the pmf from a log-factorial table.
+    """
+    m, k, x = parent.shape
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, k + 1)))])
+
+    def log_choose(a, b):
+        return log_fact[a] - log_fact[b] - log_fact[a - b]
+
+    def xlogx(v):
+        v = np.asarray(v, dtype=np.float64)
+        return np.where(v > 0, v * np.log(np.maximum(v, 1)), 0.0)
+
+    out = np.empty(x)
+    for p in range(x):
+        sizes = Counter(map(tuple, parent[:, :, p].T)).values()
+        ons = child[:, :, p].sum(axis=1)
+        total = 0.0
+        for n in sizes:
+            for on in ons:
+                hits = np.arange(max(0, n - (k - on)), min(n, on) + 1)
+                pmf = np.exp(log_choose(on, hits) + log_choose(k - on, n - hits)
+                             - log_choose(k, n))
+                total += float((pmf * (xlogx(hits) + xlogx(n - hits))).sum())
+        fixed = m * float(xlogx(list(sizes)).sum()) - m * float(xlogx(k))
+        fixed += float((xlogx(ons) + xlogx(k - ons)).sum())
+        out[p] = 2.0 * (total - fixed)
+    return out
+
+
+def random_fold(rng, m, k, x):
+    """An M x (K + 1) x P fold of biased random bits, as (parent, child)."""
+    frames = (rng.random((m, k + 1, x)) < rng.uniform(0.1, 0.9, (m, 1, 1)))
+    frames = frames.astype(np.int8)
+    return frames[:, :-1], frames[:, 1:]
+
+
+def record_shuffles(monkeypatch) -> list:
+    """Record (lag, K, orders, G rows) of every ``score`` call of the search."""
+    import cbnet.period as period
+
+    calls = []
+    evaluate = period.phase_dependence
+
+    def recorded(parent, child):
+        g, df, cap, score = evaluate(parent, child)
+
+        def scored(orders):
+            orders = list(orders)  # the search passes a generator
+            rows = score(orders)
+            calls.append((parent.shape[2], parent.shape[1], orders, rows))
+            return rows
+
+        return g, df, cap, scored
+
+    monkeypatch.setattr(period, "phase_dependence", recorded)
+    return calls
+
+
 class TestPhaseDependence:
     def test_matches_counting_reference(self):
         for M in (1, 2, 3):
@@ -410,9 +477,9 @@ class TestPhaseDependence:
                 values = s.values
                 f = s.slot_count // x
                 frames = values[:, : f * x].reshape(M, f, x)
-                g, df, cap = phase_dependence(frames[:, :-1], frames[:, 1:])
+                g, df, cap, _ = phase_dependence(frames[:, :-1], frames[:, 1:])
                 want_g, want_df, want_cap = oracle_phase_g(s, x)
-                np.testing.assert_allclose(g[0], want_g, rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(g, want_g, rtol=1e-9, atol=1e-9)
                 assert df.tolist() == want_df.tolist()
                 np.testing.assert_allclose(cap, want_cap, rtol=1e-12)
 
@@ -421,26 +488,66 @@ class TestPhaseDependence:
         frames = s.values[:, :1500].reshape(3, 300, 5)  # lag 5, off the period
         parent, child = frames[:, :-1], frames[:, 1:]
         order = np.random.default_rng(0).permutation(parent.shape[1])
-        g, _, _ = phase_dependence(parent, child, orders=(None, order))
-        assert np.array_equal(g[0], phase_dependence(parent, child)[0][0])
-        assert np.array_equal(g[1], phase_dependence(parent[:, order], child)[0][0])
+        g, _, _, score = phase_dependence(parent, child)
+        assert np.array_equal(score([slice(None)])[0], g)
+        reordered = phase_dependence(parent[:, order], child)[0]
+        assert np.array_equal(score([order])[0], reordered)
+        assert np.array_equal(score(iter([order, order])), [reordered, reordered])
         # the pairing carries the lag-5 dependence; shuffling destroys it
-        assert g[1].sum() < 0.1 * g[0].sum()
+        assert score([order])[0].sum() < 0.1 * g.sum()
 
     def test_constant_children_have_no_dependence(self):
         # every child is constant within its phase: G is 0 and there are no
         # degrees of freedom
         s = stream_of(np.vstack([np.tile([0, 1], 50), np.ones(100, dtype=np.int8)]))
         frames = s.values.reshape(2, 50, 2)
-        g, df, _ = phase_dependence(frames[:, :-1], frames[:, 1:])
-        np.testing.assert_allclose(g[0], 0.0, atol=1e-9)
+        g, df, _, _ = phase_dependence(frames[:, :-1], frames[:, 1:])
+        np.testing.assert_allclose(g, 0.0, atol=1e-9)
         assert df.tolist() == [0, 0]
 
-    def test_surrogates_seeded_by_lag(self):
+    def test_exact_null_is_the_mean_over_all_orders(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            m, k, x = (int(v) for v in rng.integers((1, 2, 1), (4, 7, 4)))
+            parent, child = random_fold(rng, m, k, x)
+            _, _, _, score = phase_dependence(parent, child)
+            every = [np.array(order) for order in itertools.permutations(range(k))]
+            mean = score(every).mean(axis=0)
+            exact = exact_null_g(parent, child)
+            np.testing.assert_allclose(exact, mean, rtol=0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 4),
+        k=st.integers(2, 40),
+        x=st.integers(1, 4),
+    )
+    def test_cap_bounds_the_exact_null(self, seed, m, k, x):
+        # the premise of the cap shortcut: a lag whose excess over the cap
+        # rejects the null would reject the null mean as well
+        parent, child = random_fold(np.random.default_rng(seed), m, k, x)
+        _, _, cap, _ = phase_dependence(parent, child)
+        assert (exact_null_g(parent, child) <= cap + 1e-9).all()
+
+    def test_surrogates_seeded_by_lag(self, monkeypatch):
+        drawn = record_shuffles(monkeypatch)
         s = planted_stream(4, 500, seed=1)
-        a = surrogate_null(s, 6)
-        assert np.array_equal(a, surrogate_null(s, 6))
-        assert a.shape == (6,) and (a >= 0).all()
+        assert find_null_period(s) == (4, 4)
+        # the period and its multiples needed the null: each lag x scored
+        # SURROGATES orders of its K frame pairs drawn from default_rng(x)
+        first = drawn[:]
+        assert [x for x, *_ in first] == [4, 8, 12]
+        for x, k, orders, rows in first:
+            rng = np.random.default_rng(x)
+            assert len(orders) == SURROGATES
+            assert all(np.array_equal(order, rng.permutation(k)) for order in orders)
+            assert rows.shape == (SURROGATES, x) and (rows.mean(axis=0) >= 0).all()
+        # so a second search scores the same shuffles
+        drawn.clear()
+        assert find_null_period(s) == (4, 4)
+        for (*_, a), (*_, b) in zip(first, drawn, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestFindNullPeriod:
@@ -464,19 +571,22 @@ class TestFindNullPeriod:
     def test_each_lag_folded_once(self, monkeypatch):
         import cbnet.period as period
 
-        calls = []
-        evaluate = period.phase_dependence
+        folded = []
+        fold_stream = period.fold
 
-        def counted(parent, child, orders=(None,)):
-            calls.append((parent.shape[2], orders[0] is None))
-            return evaluate(parent, child, orders)
+        def counted_fold(stream, x):
+            folded.append(x)
+            return fold_stream(stream, x)
 
-        monkeypatch.setattr(period, "phase_dependence", counted)
+        monkeypatch.setattr(period, "fold", counted_fold)
+        calls = record_shuffles(monkeypatch)
         s = planted_stream(6, 1500, seed=4)
         assert find_null_period(s)[1] == 6
-        assert len(calls) == len(set(calls))
+        assert len(folded) == len(set(folded))
+        shuffled = [x for x, *_ in calls]
+        assert len(shuffled) == len(set(shuffled)) and set(shuffled) <= set(folded)
         # the period and its multiples needed the surrogate null
-        assert {(6, False), (12, False), (18, False)} <= set(calls)
+        assert {6, 12, 18} <= set(shuffled)
 
     def test_multiple_rejects_an_early_null(self):
         # period 4, but lag 3 reads the pattern 1100 as 1001 1001 ...,
