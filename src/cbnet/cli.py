@@ -351,8 +351,12 @@ def export_dot(model: CbnModel, threshold: float = 0.0) -> str:
 def cmd_export(args) -> int:
     if not math.isfinite(args.threshold):
         raise ValueError(f"--threshold {args.threshold} is not a finite number")
-    with open(args.model) as fh:
-        model = model_from_dict(json.load(fh))
+    try:
+        with open(args.model, encoding="utf-8") as fh:
+            # the parsed document is freed as soon as the model is built
+            model = model_from_dict(json.load(fh))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{args.model}: {exc}") from None
     if args.dot:
         Path(args.dot).write_text(export_dot(model, threshold=args.threshold))
     if args.csv_dir:

@@ -90,14 +90,16 @@ def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:
     return (np.rint(agree).astype(np.int64)) // M
 
 
-def clique_keys(parent: np.ndarray) -> np.ndarray:
-    """(K, S) keys s * 2^M + condition index of frame k of clique s.
+def phase_counts(parent: np.ndarray, child: np.ndarray):
+    """(labels, seen, n, ones): the integer counts of M x K x S frames.
 
-    ``parent`` holds M x K x S frames.  Each key starts as the clique
-    number s, and the frame's bits are shifted in below it, MSB first, one
-    sensor row at a time, so every clique's patterns land in their own 2^M
-    bins and int8 frames are never copied to int64 as a whole.  ``bbcpt``
-    encodes one clique (S = 1); the period search, every phase of a fold.
+    A frame's key is its clique s times 2^M plus its condition index, the
+    bits shifted in below s, MSB first, one sensor row at a time, so int8
+    frames are never copied to int64 whole.  ``seen`` holds the keys that
+    occur, in key order, ``n`` their counts and ``ones`` their (U, M)
+    child-on counts; the (K, S) ``labels`` number each frame's key by its
+    place in ``seen``.  ``bbcpt`` counts one clique (S = 1); the period
+    search, every phase of a fold.
     """
     M, K, S = parent.shape
     check_sensor_count(M)
@@ -108,17 +110,22 @@ def clique_keys(parent: np.ndarray) -> np.ndarray:
     for row in parent:
         keys <<= 1
         keys += row
-    return keys
+    counts = np.bincount(keys.ravel(), minlength=S * 2**M)
+    seen = np.flatnonzero(counts)
+    labels = (np.cumsum(counts > 0) - 1)[keys]  # each key's place in seen
+    del keys  # not held while the child frames are counted
+    ones = child_counts(labels, child, seen.size).astype(np.int64)
+    return labels, seen, counts[seen], ones
 
 
-def child_counts(keys: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray:
-    """Child-on counts (bins, M) of every key, from (K, S) keys in [0, bins).
+def child_counts(labels: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray:
+    """Child-on counts (bins, M) of every label, from (K, S) labels in [0, bins).
 
-    One weighted bincount per child sensor over the keys of the parent
-    frames (``clique_keys``, or any relabelling of them) and the M x K x S
+    One weighted bincount per child sensor over the labels of the parent
+    frames (``phase_counts``, or a reordering of them) and the M x K x S
     child frames.
     """
-    flat = keys.ravel()
+    flat = labels.ravel()
     num = np.empty((bins, child.shape[0]))
     for i, row in enumerate(child):
         num[:, i] = np.bincount(flat, weights=row.ravel(), minlength=bins)
@@ -133,25 +140,22 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     default 0.5; everything else is clamped to [eps, 1-eps] so downstream
     logarithms stay finite.
 
-    Counting is a histogram over condition indices: each frame's parent
-    column is encoded as the index of the condition-matrix row it matches
-    (``clique_keys`` with a single clique), one bincount gives the pattern
-    counts and one weighted bincount per child sensor gives the child-on
-    counts (``child_counts``).  The integers are exactly those of the
-    literal floored-average match matrix (``match_indicator``, kept as the
-    test reference) and of ``counting_oracle``.
+    Counting is ``phase_counts`` of the one clique, a histogram over the
+    condition indices of the parent frames, scattered into the 2^M rows.
+    The integers are exactly those of the literal floored-average match
+    matrix (``match_indicator``, kept as the test reference) and of
+    ``counting_oracle``.
     """
     parent, child = _frames(parent, child)
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
-    keys = clique_keys(parent[..., None])
     M = parent.shape[0]
-    counts = np.bincount(keys.ravel(), minlength=2**M)
-    num = child_counts(keys, child[..., None], 2**M)
-    seen = counts > 0
-    raw = np.full(num.shape, 0.5)
-    np.divide(num, counts[:, None], out=raw, where=seen[:, None])
-    B = np.where(seen[:, None], np.clip(raw, eps, 1.0 - eps), raw)
+    seen, n, ones = phase_counts(parent[..., None], child[..., None])[1:]
+    counts = np.zeros(2**M, dtype=np.int64)
+    counts[seen] = n
+    raw = np.full((2**M, M), 0.5)
+    raw[seen] = ones / n[:, None]
+    B = np.where(counts[:, None] > 0, np.clip(raw, eps, 1.0 - eps), raw)
     return CliqueCPT(M=M, B=B, counts=counts, B_raw=raw)
 
 

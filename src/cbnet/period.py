@@ -40,7 +40,7 @@ from .cpt import (
     bbcpt,
     check_sensor_count,
     child_counts,
-    clique_keys,
+    phase_counts,
 )
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import (
@@ -51,9 +51,9 @@ from .errors import (
 )
 from .observations import ObservationStream, fold, frame_pair
 
-#: Most table entries (phases x 2^M rows x M children) that phase_dependence
-#: counts at once.  A block of this size stays cache-resident; a block holds
-#: at least one phase, so at large M it is a single phase's table.
+#: phase_dependence counts S = max(1, this // (2^M M)) phases at once: the
+#: S 2^M pattern counts and labels of ``phase_counts``, and a child-on table
+#: of one M-wide row per seen (phase, pattern).
 _BLOCK_ELEMENTS = 1 << 16
 
 #: shuffled copies per lag from which the surrogate search takes the null mean
@@ -148,7 +148,7 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
     largest null mean, ``_NULL_CAP`` per seen pattern and such child, and
     ``score(orders)``: one row of G per frame order in which the parent
     frames of every phase are paired with the child frames, from this
-    call's keys, as an order keeps each phase's pattern counts and totals.
+    call's labels, as an order keeps each phase's pattern counts and totals.
     """
     m, k, x = parent.shape
     phi = np.zeros(k + 1)  # n ln n at the integer count n, 0 at n = 0
@@ -163,23 +163,15 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
     blocks = []
     for lo in range(0, x, block):
         phases = slice(lo, lo + block)
-        keys = clique_keys(parent[:, :, phases])
-        counts = np.bincount(keys.ravel(), minlength=keys.size // k * 2**m)
-        # relabel the seen (phase, pattern) keys 0..U-1, in key order, so
-        # every phase's keys form one run starting at ``starts``
-        seen = np.flatnonzero(counts)
-        label = np.zeros(counts.size, dtype=np.int64)
-        label[seen] = np.arange(seen.size)
-        keys = label[keys]
-        n = counts[seen]
-        starts = np.searchsorted(seen >> m, np.arange(keys.shape[1]))
         c = child[:, :, phases]
-        ones = child_counts(keys, c, seen.size).astype(np.int64)
+        labels, seen, n, ones = phase_counts(parent[:, :, phases], c)
+        # seen is in key order: each phase's labels are one run from ``starts``
+        starts = np.searchsorted(seen >> m, np.arange(labels.shape[1]))
         on = np.add.reduceat(ones, starts)  # the phase's child-on totals
         fixed = m * np.add.reduceat(phi[n], starts) - m * phi[k]
         fixed += (phi[on] + phi[k - on]).sum(axis=-1)
         g[phases] = block_g(ones, n, starts, fixed)
-        blocks.append((phases, keys, c, n, starts, fixed))
+        blocks.append((phases, labels, c, n, starts, fixed))
         live = ((on > 0) & (on < k)).sum(axis=-1)
         rows = np.diff(starts, append=seen.size)  # seen patterns per phase
         df[phases] = (rows - 1) * live
@@ -189,8 +181,8 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
         out = []
         for order in orders:  # any iterable: one order is held at a time
             row = np.empty(x)
-            for phases, keys, c, n, starts, fixed in blocks:
-                ones = child_counts(keys[order], c, n.size).astype(np.int64)
+            for phases, labels, c, n, starts, fixed in blocks:
+                ones = child_counts(labels[order], c, n.size).astype(np.int64)
                 row[phases] = block_g(ones, n, starts, fixed)
             out.append(row)
         return np.array(out)

@@ -149,6 +149,14 @@ class TestLearnCommand:
         assert not model_path.exists()
         assert "bad.csv" in capsys.readouterr().err
 
+    def test_undecodable_csv_fails_without_output(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"slot,s1\n1,0\n2,\xff\n3,1\n")
+        model_path = tmp_path / "model.json"
+        assert run_cli("learn", "--input", bad, "--output", model_path) == 2
+        assert not model_path.exists()
+        assert f"{bad}:3: not UTF-8 text" in capsys.readouterr().err
+
     def test_non_binary_value_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("slot,s1\n1,0\n2,2\n")
@@ -347,6 +355,23 @@ class TestExportCommand:
         assert code == 2
         assert not dot.exists() and not mats.exists()
         assert f"model file holds {kind!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [slice(0, 20), slice(0, -2)])
+    def test_truncated_model_rejected(self, tmp_path, model_path, capsys, cut):
+        path = tmp_path / "truncated.json"
+        path.write_bytes(model_path.read_bytes()[cut])
+        dot = tmp_path / "g.dot"
+        assert run_cli("export", "--model", path, "--dot", dot) == 2
+        assert not dot.exists()
+        assert f"cbnet export: {path}: " in capsys.readouterr().err
+
+    def test_undecodable_model_rejected(self, tmp_path, model_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(model_path.read_bytes().replace(b'"format"', b'"\xffformat"'))
+        dot = tmp_path / "g.dot"
+        assert run_cli("export", "--model", path, "--dot", dot) == 2
+        assert not dot.exists()
+        assert f"cbnet export: {path}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_missing_model_field(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"

@@ -13,7 +13,7 @@ from cbnet import (
     condition_matrix,
     counting_oracle,
 )
-from cbnet.cpt import M_MAX, UNDEFINED, match_indicator
+from cbnet.cpt import M_MAX, UNDEFINED, match_indicator, phase_counts
 
 
 def random_pair(M, K, seed, p=0.5, q=0.5):
@@ -155,14 +155,26 @@ class TestCountingOracle:
         st.integers(1, 80),
         st.integers(0, 2**31),
         st.floats(0.1, 0.9),
+        st.integers(2, 4),
     )
-    def test_bbcpt_equals_oracle(self, M, K, seed, p):
-        parent, child = random_pair(M, K, seed, p=p)
-        cpt = bbcpt(parent, child)
-        B, counts = counting_oracle(parent, child)
+    def test_bbcpt_equals_oracle(self, M, K, seed, p, S):
+        # S cliques of M x K frames; bbcpt counts the first alone
+        parent, child = random_pair(M, K * S, seed, p=p)
+        parent, child = parent.reshape(M, K, S), child.reshape(M, K, S)
+        cpt = bbcpt(parent[:, :, 0], child[:, :, 0])
+        B, counts = counting_oracle(parent[:, :, 0], child[:, :, 0])
         assert np.array_equal(cpt.counts, counts)
         seen = counts > 0
         assert np.array_equal(cpt.B_raw[seen], B[seen])
+        # phase_counts counts every clique at once, in (clique, pattern) order
+        labels, keys, n, ones = phase_counts(parent, child)
+        assert (keys[labels] >> M == np.arange(S)).all()
+        for s in range(S):
+            B, counts = counting_oracle(parent[:, :, s], child[:, :, s])
+            run = keys >> M == s
+            assert np.array_equal(keys[run] % 2**M, np.flatnonzero(counts))
+            assert np.array_equal(n[run], counts[counts > 0])
+            assert np.array_equal(ones[run] / n[run, None], B[counts > 0])
 
 
 class TestPermutationEquivariance:

@@ -7,11 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbnet import ObservationStream
-from cbnet.stream_csv import _parse_plain, read_stream_csv, write_stream_csv
+from cbnet.stream_csv import (
+    _CSV_BLOCK_ROWS,
+    _parse_plain,
+    read_stream_csv,
+    write_stream_csv,
+)
 
 HEADER_ERROR = ": expected header 'slot,s1,...,sM'"
 
@@ -38,6 +43,10 @@ PINNED = {
     "slot-leading-zero": ("slot,s1\n01,0\n2,1\n", ":2: slot 01, expected 1"),
     "spaced-label": ("slot, s1\n1,0\n2,1\n", ([[0, 1]], (" s1",))),
     "quoted-label": ('slot,"a,b",c\n1,0,1\n2,1,0\n', ([[0, 1], [1, 0]], ("a,b", "c"))),
+    "non-ascii-label": ("slot,sé\n1,0\n2,1\n", ([[0, 1]], ("sé",))),
+    "not-utf-8": (b"slot,s1\n1,0\n2,\xff\n3,1\n", ":3: not UTF-8 text"),
+    "not-utf-8-label": (b"slot,s\xff\n1,0\n2,1\n", ":1: not UTF-8 text"),
+    "not-utf-8-cr-line-ends": (b"slot,s1\r1,0\r2,1\r\x80\r", ":4: not UTF-8 text"),
     "bad-header": ("a,b\n1,0\n2,1\n", HEADER_ERROR),
     "no-sensor-column": ("slot\n1\n2\n", HEADER_ERROR),
     "empty-file": ("", HEADER_ERROR),
@@ -71,7 +80,7 @@ PINNED = {
 def test_pinned_parse(tmp_path, name):
     text, expected = PINNED[name]
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     if isinstance(expected, str):
         with pytest.raises(ValueError) as info:
             read_stream_csv(path)
@@ -157,6 +166,7 @@ labels = st.lists(
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(values=streams, names=st.none() | labels)
+    @example(values=np.array([[0, 1, 1]], dtype=np.int8), names=["sé"])
     def test_write_matches_csv_writer_and_reads_back(self, values, names):
         names = tuple(names[: values.shape[0]]) if names else ()
         stream = ObservationStream(values, sensor_labels=names)
@@ -261,3 +271,37 @@ class TestSlotColumn:
         with pytest.raises(ValueError) as info:
             read_stream_csv(path)
         assert str(info.value) == f"{path}:{slot + 1}: slot {found}, expected {slot}"
+
+
+class TestBlocks:
+    """Both directions take the slots in blocks of at most _CSV_BLOCK_ROWS of one width."""
+
+    @staticmethod
+    def file_bytes(n):
+        values = (np.random.default_rng(n).random((2, n)) < 0.5).astype(np.int8)
+        return values, reference_bytes(ObservationStream(values))
+
+    # 65,537 slots are one more than a block; 100,001 cross the block
+    # boundary at slot 75,536 inside width 5 and the step to width 6
+    @pytest.mark.parametrize("n", [65_537, 100_001])
+    @pytest.mark.parametrize("crlf", [False, True])
+    def test_round_trip_across_blocks(self, tmp_path, n, crlf):
+        values, raw = self.file_bytes(n)
+        path = tmp_path / "s.csv"
+        write_stream_csv(ObservationStream(values), path)
+        assert path.read_bytes() == raw
+        parsed = _parse_plain(raw if crlf else raw.replace(b"\r\n", b"\n"))
+        assert parsed is not None
+        assert parsed[0] == ["s1", "s2"]
+        assert np.array_equal(parsed[1], values)
+
+    def test_line_end_may_change_at_a_block_boundary(self, tmp_path):
+        lines = self.file_bytes(80_000)[1].split(b"\r\n")  # lines[j] holds slot j
+        boundary = 10_000 + _CSV_BLOCK_ROWS
+        assert boundary == 75_536
+        # LF before the block of slot 75,536, CRLF from it on
+        raw = b"\n".join(lines[:boundary]) + b"\n" + b"\r\n".join(lines[boundary:])
+        assert _parse_plain(raw) is not None
+        path = tmp_path / "s.csv"
+        path.write_bytes(raw)
+        assert outcome(path) == reference_read(path)
