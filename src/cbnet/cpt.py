@@ -140,10 +140,9 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     default 0.5; everything else is clamped to [eps, 1-eps] so downstream
     logarithms stay finite.
 
-    Counting is ``phase_counts`` of the one clique, a histogram over the
-    condition indices of the parent frames, scattered into the 2^M rows.
-    The integers are exactly those of the literal floored-average match
-    matrix (``match_indicator``, kept as the test reference) and of
+    Counting is ``phase_counts`` of the one clique, scattered into the 2^M
+    rows.  The integers are exactly those of the literal floored-average
+    match matrix (``match_indicator``, kept as the test reference) and of
     ``counting_oracle``.
     """
     parent, child = _frames(parent, child)
@@ -155,7 +154,7 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     counts[seen] = n
     raw = np.full((2**M, M), 0.5)
     raw[seen] = ones / n[:, None]
-    B = np.where(counts[:, None] > 0, np.clip(raw, eps, 1.0 - eps), raw)
+    B = np.clip(raw, eps, 1.0 - eps)  # unseen rows keep 0.5, inside the clamp
     return CliqueCPT(M=M, B=B, counts=counts, B_raw=raw)
 
 

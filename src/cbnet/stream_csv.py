@@ -26,11 +26,9 @@ _PLAIN_HEADER = re.compile(rb"slot,[ !#-~]*")
 
 
 def _lines(first: int, bits: np.ndarray, crlf: bool) -> np.ndarray:
-    """The plain lines of slots first, first + 1, ...: one uint8 row each.
-
-    ``bits`` holds one row of M 0/1 values per slot, and every slot has the
-    width of ``first``.  A line is the slot in decimal, then ``,b`` per
-    sensor, then CRLF or LF.
+    """The plain lines of slots first, first + 1, ..., all of the width of
+    ``first``, one uint8 row each: the slot in decimal, then ``,b`` for each
+    of the slot's M 0/1 ``bits``, then CRLF or LF.
     """
     count, m = bits.shape
     width = len(str(first))
