@@ -114,7 +114,7 @@ def phase_counts(parent: np.ndarray, child: np.ndarray):
     seen = np.flatnonzero(counts)
     labels = (np.cumsum(counts > 0) - 1)[keys]  # each key's place in seen
     del keys  # not held while the child frames are counted
-    ones = child_counts(labels, child, seen.size).astype(np.int64)
+    ones = child_counts(labels, child, seen.size)
     return labels, seen, counts[seen], ones
 
 
@@ -123,10 +123,11 @@ def child_counts(labels: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray
 
     One weighted bincount per child sensor over the labels of the parent
     frames (``phase_counts``, or a reordering of them) and the M x K x S
-    child frames.
+    child frames.  Its float sums are whole numbers, exact below 2^53, so
+    the int64 table holds them as they are.
     """
     flat = labels.ravel()
-    num = np.empty((bins, child.shape[0]))
+    num = np.empty((bins, child.shape[0]), dtype=np.int64)
     for i, row in enumerate(child):
         num[:, i] = np.bincount(flat, weights=row.ravel(), minlength=bins)
     return num

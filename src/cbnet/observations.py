@@ -24,7 +24,7 @@ def _as_binary_array(values) -> np.ndarray:
         raise EmptyInputError(f"expected a 2-D sensor array, got ndim={arr.ndim}")
     if arr.size == 0:
         raise EmptyInputError("empty observation array")
-    if not np.isin(arr, (0, 1)).all():
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("observation values must all be 0 or 1")
     return arr.astype(np.int8)
 

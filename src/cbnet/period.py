@@ -182,7 +182,7 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
         for order in orders:  # any iterable: one order is held at a time
             row = np.empty(x)
             for phases, labels, c, n, starts, fixed in blocks:
-                ones = child_counts(labels[order], c, n.size).astype(np.int64)
+                ones = child_counts(labels[order], c, n.size)
                 row[phases] = block_g(ones, n, starts, fixed)
             out.append(row)
         return np.array(out)

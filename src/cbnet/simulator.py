@@ -66,6 +66,8 @@ class SimulationConfig:
             raise ConfigError("rates must be nonnegative")
         if self.service_mean <= 0 or self.sense_interval <= 0:
             raise ConfigError("service_mean and sense_interval must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class Simulation:

@@ -2,15 +2,14 @@
 
 Row j (1-based) holds slot j: its slot field is the decimal j, so a dropped,
 repeated or reordered row is an error, not a shift of every later slot.
-The file is UTF-8.  Writer and reader take the slots in the same blocks,
-whose bytes ``_lines`` defines once.
+The file is UTF-8.  Writer and bulk reader share its bytes: ``_header``, the
+header as ``csv.writer`` writes it with LF or CRLF, and ``_lines`` per block.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import re
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +20,17 @@ from .observations import ObservationStream
 #: ``_parse_plain``; a block's slots all have the same width
 _CSV_BLOCK_ROWS = 1 << 16
 
-#: a header that ``csv`` splits at every comma: printable ASCII, no quotes
-_PLAIN_HEADER = re.compile(rb"slot,[ !#-~]*")
+
+def _header(labels, end: str) -> bytes:
+    """The header line, in UTF-8, as ``csv.writer`` writes it with ``end``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator=end).writerow(["slot", *labels])
+    return out.getvalue().encode("utf-8")
 
 
 def _lines(first: int, bits: np.ndarray, crlf: bool) -> np.ndarray:
-    """The plain lines of slots first, first + 1, ..., all of the width of
-    ``first``, one uint8 row each: the slot in decimal, then ``,b`` for each
-    of the slot's M 0/1 ``bits``, then CRLF or LF.
+    """One uint8 row per slot first, first + 1, ..., all of ``first``'s width:
+    the slot in decimal, ``,b`` per 0/1 bit of its row of ``bits``, CRLF or LF.
     """
     count, m = bits.shape
     width = len(str(first))
@@ -46,36 +48,36 @@ def _lines(first: int, bits: np.ndarray, crlf: bool) -> np.ndarray:
 def write_stream_csv(stream: ObservationStream, path: Path) -> None:
     """``slot,s1,...,sM``, then ``n,b1,...,bM`` per slot, as ``csv.writer`` writes.
 
-    The header goes through ``csv.writer``, which quotes labels as needed.
-    Every block of slots is then written as the CRLF ``_lines`` of its values.
+    The CRLF ``_header``, then each block of slots as its CRLF ``_lines``.
     """
     n = stream.slot_count
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["slot", *stream.sensor_labels])
-        fh.flush()
+    with open(path, "wb") as fh:
+        fh.write(_header(stream.sensor_labels, "\r\n"))
         first = 1
         while first <= n:
             stop = min(first + _CSV_BLOCK_ROWS, 10 ** len(str(first)), n + 1)
-            fh.buffer.write(_lines(first, stream.values[:, first - 1:stop - 1].T, True))
+            fh.write(_lines(first, stream.values[:, first - 1:stop - 1].T, True))
             first = stop
 
 
 def _parse_plain(data: bytes):
     """(labels, values) of a stream CSV in the plain layout, else None.
 
-    Plain: a ``slot,<labels>`` header of printable ASCII without quotes,
-    ended by LF or CRLF, then at least two slots, every block of them
+    Plain: the header ``csv.writer`` writes for ``slot`` and at least one
+    label (``_header``), with LF or CRLF, then at least two slots, each block
     exactly the ``_lines`` of its bits with the line end that its first
     line has.  ``csv`` reads such a file to the same stream.
     """
-    head_end = data.find(b"\n")
-    header = data[:head_end].removesuffix(b"\r")
-    if (head_end < 0 or not _PLAIN_HEADER.fullmatch(header)
-            or len(header) > csv.field_size_limit()):
+    line = data[:data.find(b"\n") + 1]  # empty without a line end
+    try:
+        labels = next(csv.reader([line.decode("utf-8")]), [])[1:]
+    except (UnicodeDecodeError, csv.Error):
         return None
-    labels = header.decode("ascii").split(",")[1:]
+    end = "\r\n" if line.endswith(b"\r\n") else "\n"
+    if not labels or line != _header(labels, end):
+        return None
     m = len(labels)
-    pos, first, blocks = head_end + 1, 1, []
+    pos, first, blocks = len(line), 1, []
     while pos < len(data):
         width = len(str(first))
         # the byte after the first line's bits: LF, or the CR of CRLF

@@ -82,6 +82,11 @@ class TestSimulateCommand:
         assert not out.exists()
         assert "must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("simulate", "--slots", 10, "--seed", -1, "--out", out) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unallocatable_stream_fails_fast(self, tmp_path, capsys):
         # 2**64 bytes: refused before the first draw, not after 2**32

@@ -24,6 +24,30 @@ class TestStreamValidation:
         with pytest.raises(ValueError):
             make_stream([[0, 2, 1]])
 
+    @pytest.mark.parametrize("values", [
+        [["0", "1"]],
+        [[b"0", b"1"]],
+        np.array([[None, 1]], dtype=object),
+        [[np.nan, 1.0]],
+        [[0.5, 1.0]],
+        [[2, 1]],
+        [[-1, 0]],
+        [[1 + 1j, 0]],
+    ])
+    def test_rejects_values_other_than_0_and_1(self, values):
+        with pytest.raises(ValueError, match="must all be 0 or 1"):
+            ObservationStream(values)
+
+    @pytest.mark.parametrize("values", [
+        [[True, False]],
+        [[1.0, 0.0]],
+        pytest.param([[1 + 0j, 0j]],
+                     marks=pytest.mark.filterwarnings("ignore:Casting complex")),
+        np.array([[1, 0]], dtype=object),
+    ])
+    def test_accepts_values_equal_to_0_and_1(self, values):
+        assert ObservationStream(values).values.tolist() == [[1, 0]]
+
     def test_rejects_too_short(self):
         with pytest.raises(EmptyInputError):
             make_stream([[1]])

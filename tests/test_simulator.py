@@ -45,6 +45,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(duration_slots=10, arrival_rate=-1.0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            SimulationConfig(duration_slots=10, seed=-1)
+
     @pytest.mark.parametrize("field, value", [
         ("speed_range", (math.inf, math.inf)),
         ("speed_range", (20.0, math.inf)),

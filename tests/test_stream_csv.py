@@ -93,6 +93,36 @@ def test_pinned_parse(tmp_path, name):
         assert stream.sensor_labels == labels
 
 
+@pytest.mark.parametrize("name", ["quoted-label", "non-ascii-label"])
+def test_pinned_headers_read_in_bulk(name):
+    text, (values, labels) = PINNED[name]
+    parsed = _parse_plain(text.encode())
+    assert parsed is not None
+    assert tuple(parsed[0]) == labels
+    assert parsed[1].tolist() == values
+
+
+def test_long_header_read_in_bulk():
+    # each label is inside the field limit, the whole header is not
+    labels = [c * 50_000 for c in "abc"]
+    raw = ",".join(["slot", *labels]).encode() + b"\n1,0,1,0\n2,1,0,1\n"
+    parsed = _parse_plain(raw)
+    assert parsed is not None
+    assert parsed[0] == labels
+
+
+def test_label_with_line_break_read_by_csv(tmp_path):
+    stream = ObservationStream(
+        np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int8), sensor_labels=("a\nb", "c")
+    )
+    path = tmp_path / "s.csv"
+    write_stream_csv(stream, path)
+    assert _parse_plain(path.read_bytes()) is None
+    back = read_stream_csv(path)
+    assert back.sensor_labels == stream.sensor_labels
+    assert np.array_equal(back.values, stream.values)
+
+
 def test_duplicate_labels_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("slot,a,a\n1,0,1\n2,1,0\n")
@@ -112,7 +142,7 @@ def reference_bytes(stream: ObservationStream) -> bytes:
 
 def reference_read(path: Path):
     """Row-by-row ``csv`` parse: (values, labels), or the error message."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -174,6 +204,7 @@ class TestRoundTrip:
             path = Path(tmp) / "s.csv"
             write_stream_csv(stream, path)
             assert path.read_bytes() == reference_bytes(stream)
+            assert _parse_plain(path.read_bytes()) is not None
             back = read_stream_csv(path)
         assert np.array_equal(back.values, stream.values)
         assert back.values.dtype == np.int8
@@ -197,6 +228,46 @@ class TestRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.csv"
             path.write_bytes(bytes(raw))
+            assert outcome(path) == reference_read(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=streams,
+        names=st.lists(
+            st.text(alphabet='s1 ,"\r\n\té\'\ufeff', max_size=3), min_size=6, max_size=6
+        ),
+        quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL, csv.QUOTE_NONNUMERIC]),
+        end=st.sampled_from(["\n", "\r\n"]),
+        edits=st.lists(
+            st.tuples(st.floats(0, 1, exclude_max=True),
+                      st.sampled_from(b'slot1 ,"\r\n\t\'x\xc3\xa9')),
+            max_size=2,
+        ),
+    )
+    def test_headers_read_as_the_csv_parser_reads_them(
+        self, values, names, quoting, end, edits
+    ):
+        names = names[: values.shape[0]]
+        out = io.StringIO(newline="")
+        csv.writer(out, quoting=quoting, lineterminator=end).writerow(["slot", *names])
+        header = bytearray(out.getvalue().encode())
+        written = bytes(header)
+        for where, byte in edits:
+            edited = header.copy()
+            edited[int(where * len(edited))] = byte
+            try:
+                edited.decode("utf-8")
+            except UnicodeDecodeError:
+                continue  # an undecodable header is the csv path's error
+            header = edited
+        body = reference_bytes(ObservationStream(values)).split(b"\r\n", 1)[1]
+        raw = bytes(header) + body.replace(b"\r\n", end.encode())
+        if (quoting == csv.QUOTE_MINIMAL and header == written
+                and not any("\r" in name or "\n" in name for name in names)):
+            assert _parse_plain(raw) is not None  # as write_stream_csv writes it
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_bytes(raw)
             assert outcome(path) == reference_read(path)
 
     @settings(max_examples=200, deadline=None)
