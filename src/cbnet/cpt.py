@@ -122,9 +122,9 @@ def child_counts(labels: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray
     """Child-on counts (bins, M) of every label, from (K, S) labels in [0, bins).
 
     One weighted bincount per child sensor over the labels of the parent
-    frames (``phase_counts``, or a reordering of them) and the M x K x S
-    child frames.  Its float sums are whole numbers, exact below 2^53, so
-    the int64 table holds them as they are.
+    frames (``phase_counts``) and the M x K x S child frames.  Its float
+    sums are whole numbers, exact below 2^53, so the int64 table holds them
+    as they are.
     """
     flat = labels.ravel()
     num = np.empty((bins, child.shape[0]), dtype=np.int64)

@@ -39,7 +39,6 @@ from .cpt import (
     CliqueCPT,
     bbcpt,
     check_sensor_count,
-    child_counts,
     phase_counts,
 )
 from .dependence import DependenceMatrix, cpbd_clique, normalize
@@ -147,15 +146,21 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
     freedom, (seen patterns - 1) per child that takes both values, the
     largest null mean, ``_NULL_CAP`` per seen pattern and such child, and
     ``score(orders)``: one row of G per frame order in which the parent
-    frames of every phase are paired with the child frames, from this
-    call's labels, as an order keeps each phase's pattern counts and totals.
+    frames of every phase are paired with the child frames.  An order moves
+    only the parent frames, so each phase keeps its pattern counts and child
+    totals, and only how a pattern's frames split between a child's two
+    values changes.  G is the same whichever value is counted, so ``score``
+    counts, for each child and phase, only the shuffled parent labels at the
+    entries of the value the child takes less often in that phase, found
+    once per call.  Its G rows are bit-identical to those of counting the
+    reordered parent frames whole.
     """
     m, k, x = parent.shape
     phi = np.zeros(k + 1)  # n ln n at the integer count n, 0 at n = 0
     phi[1:] = np.arange(1, k + 1) * np.log(np.arange(1, k + 1))
 
-    def block_g(ones, n, starts, fixed):  # from child-on counts per seen pattern
-        terms = (phi[ones] + phi[n[:, None] - ones]).sum(axis=-1)
+    def block_g(counts, n, starts, fixed):  # from one child value's counts
+        terms = (phi[counts] + phi[n[:, None] - counts]).sum(axis=-1)
         return 2.0 * (np.add.reduceat(terms, starts) - fixed)
 
     block = max(1, _BLOCK_ELEMENTS // (2**m * m))
@@ -171,19 +176,31 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
         fixed = m * np.add.reduceat(phi[n], starts) - m * phi[k]
         fixed += (phi[on] + phi[k - on]).sum(axis=-1)
         g[phases] = block_g(ones, n, starts, fixed)
-        blocks.append((phases, labels, c, n, starts, fixed))
+        blocks.append((phases, labels, c, 2 * on > k, n, starts, fixed))
         live = ((on > 0) & (on < k)).sum(axis=-1)
         rows = np.diff(starts, append=seen.size)  # seen patterns per phase
         df[phases] = (rows - 1) * live
         cap[phases] = _NULL_CAP * rows * live
 
     def score(orders) -> np.ndarray:
+        # G sums phi(c) + phi(n - c) over the counts c of one child value,
+        # so a phase whose child is mostly on counts its off-entries; the
+        # entries are kept as (frame, phase) pairs of their block
+        found = []
+        for _, labels, c, mostly_on, *_ in blocks:
+            rare = ((bits != 0) != often for bits, often in zip(c, mostly_on.T))
+            found.append([np.divmod(np.flatnonzero(r), labels.shape[1]) for r in rare])
         out = []
         for order in orders:  # any iterable: one order is held at a time
+            order = np.arange(k)[order]  # a permutation array, list or slice
             row = np.empty(x)
-            for phases, labels, c, n, starts, fixed in blocks:
-                ones = child_counts(labels[order], c, n.size)
-                row[phases] = block_g(ones, n, starts, fixed)
+            for (phases, labels, _, _, n, starts, fixed), pairs in zip(blocks, found):
+                flat, width = labels.ravel(), labels.shape[1]
+                counts = np.empty((n.size, m), dtype=np.int64)
+                for i, (f, s) in enumerate(pairs):
+                    shuffled = flat[order[f] * width + s]  # labels[order[f], s]
+                    counts[:, i] = np.bincount(shuffled, minlength=n.size)
+                row[phases] = block_g(counts, n, starts, fixed)
             out.append(row)
         return np.array(out)
 

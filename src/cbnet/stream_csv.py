@@ -49,10 +49,13 @@ def write_stream_csv(stream: ObservationStream, path: Path) -> None:
     """``slot,s1,...,sM``, then ``n,b1,...,bM`` per slot, as ``csv.writer`` writes.
 
     The CRLF ``_header``, then each block of slots as its CRLF ``_lines``.
+    The header is encoded before the file is opened, so a label that UTF-8
+    cannot encode leaves the path as it was.
     """
     n = stream.slot_count
+    header = _header(stream.sensor_labels, "\r\n")
     with open(path, "wb") as fh:
-        fh.write(_header(stream.sensor_labels, "\r\n"))
+        fh.write(header)
         first = 1
         while first <= n:
             stop = min(first + _CSV_BLOCK_ROWS, 10 ** len(str(first)), n + 1)

@@ -32,6 +32,7 @@ from cbnet import (
 )
 from cbnet.cpt import M_MAX
 from cbnet.period import (
+    _BLOCK_ELEMENTS,
     SURROGATES,
     find_null_period,
     first_spectral_peak,
@@ -447,6 +448,33 @@ def random_fold(rng, m, k, x):
     return frames[:, :-1], frames[:, 1:]
 
 
+@st.composite
+def shuffled_folds(draw):
+    """(parent, child, order) of a random fold and a frame order.
+
+    M runs 1..10; at M >= 9 the phases outnumber one block of
+    ``phase_dependence``, so they are counted in several.  Each sensor's
+    rate of 1s is drawn per phase, so a child may be mostly on in some
+    phases and mostly off in others.  Frames are int8, bool or int64, a
+    child row may be all 0 or all 1, and the order is a permutation array
+    or ``slice(None)``.
+    """
+    m = draw(st.integers(1, 10))
+    block = max(1, _BLOCK_ELEMENTS // (2**m * m))
+    x = draw(st.integers(block + 1, 3 * block) if m >= 9 else st.integers(1, 5))
+    k = draw(st.integers(1, 30))
+    dtype = draw(st.sampled_from([np.int8, np.bool_, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = rng.random((m, k + 1, x)) < rng.uniform(0.1, 0.9, (m, 1, x))
+    parent, child = frames[:, :-1].astype(dtype), frames[:, 1:].astype(dtype)
+    for i, fill in enumerate(draw(st.lists(st.sampled_from([None, 0, 1]),
+                                           min_size=m, max_size=m))):
+        if fill is not None:
+            child[i] = fill
+    order = draw(st.sampled_from([rng.permutation(k), slice(None)]))
+    return parent, child, order
+
+
 def record_shuffles(monkeypatch) -> list:
     """Record (lag, K, orders, G rows) of every ``score`` call of the search."""
     import cbnet.period as period
@@ -495,6 +523,33 @@ class TestPhaseDependence:
         assert np.array_equal(score(iter([order, order])), [reordered, reordered])
         # the pairing carries the lag-5 dependence; shuffling destroys it
         assert score([order])[0].sum() < 0.1 * g.sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(fold=shuffled_folds(), as_generator=st.booleans())
+    def test_score_counts_the_reordered_parent_frames(self, fold, as_generator):
+        # a scored order's G row is, bit for bit, the G of the parent frames
+        # reordered and counted afresh
+        parent, child, order = fold
+        _, _, _, score = phase_dependence(parent, child)
+        orders = (o for o in [order]) if as_generator else [order]
+        want = phase_dependence(parent[:, order], child)[0]
+        assert score(orders)[0].tobytes() == want.tobytes()
+
+    def test_search_score_rows_pinned(self, monkeypatch):
+        # SHA-256 of every score row of the null search on one road stream,
+        # in call order: any way of counting the shuffles must keep them
+        from cbnet import SimulationConfig, run
+
+        calls = record_shuffles(monkeypatch)
+        s = run(SimulationConfig(duration_slots=36000, seed=4242))
+        assert find_null_period(s) == (8, 8)
+        assert [x for x, *_ in calls] == [6, 7, 8, 16, 24]
+        h = hashlib.sha256()
+        for *_, rows in calls:
+            h.update(np.ascontiguousarray(rows, dtype="<f8").tobytes())
+        assert h.hexdigest() == (
+            "0d230b79a16e9cbf2060be60862da4150116f3d9646c32c5ee348dc3acf16b5f"
+        )
 
     def test_constant_children_have_no_dependence(self):
         # every child is constant within its phase: G is 0 and there are no

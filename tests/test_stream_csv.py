@@ -123,6 +123,21 @@ def test_label_with_line_break_read_by_csv(tmp_path):
     assert np.array_equal(back.values, stream.values)
 
 
+def test_unencodable_label_leaves_the_path_alone(tmp_path):
+    # a lone surrogate has no UTF-8 form: the header fails before the file
+    # is opened, so an existing file keeps its bytes and none is created
+    stream = ObservationStream(
+        np.array([[0, 1, 1]], dtype=np.int8), sensor_labels=("\ud800",)
+    )
+    existing = tmp_path / "old.csv"
+    existing.write_bytes(b"slot,s1\r\n1,0\r\n2,1\r\n")
+    for path in (existing, tmp_path / "new.csv"):
+        with pytest.raises(UnicodeEncodeError):
+            write_stream_csv(stream, path)
+    assert existing.read_bytes() == b"slot,s1\r\n1,0\r\n2,1\r\n"
+    assert not (tmp_path / "new.csv").exists()
+
+
 def test_duplicate_labels_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("slot,a,a\n1,0,1\n2,1,0\n")
