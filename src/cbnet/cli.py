@@ -8,7 +8,8 @@ File formats:
   * model: JSON with keys format, M, T, ts_star, tp, epsilon, cpts
     ([T-1][2^M][M]), deps ([T-1][M][M], deps[t][k][i] = parent k -> child
     i) and provenance, probabilities at 12 significant digits; ``format``
-    names the layout, and a file without it is refused;
+    names the layout, and a file without it is refused; ``export`` parses each
+    distinct clique row once, and reads other layouts with ``json.loads``;
   * bench: CSV of per-trial timings plus one summary row per M holding the
     median conventional/proposed speedup;
   * export: Graphviz DOT (node per sensor/phase, edge width proportional to
@@ -50,6 +51,10 @@ MODEL_FORMAT = "cbnet-model/2"
 #: entry of 1.
 EPS_MIN = 5e-13
 
+#: a model file holds each clique matrix on one line: CLIQUE_PREFIX, its rows
+#: joined by ", ", then "]"; no JSON number holds "]", so rows split at ROW_SEP
+CLIQUE_PREFIX, ROW_SEP, _MARK = "    [", "], [", 10**20
+
 
 # ---------------------------------------------------------------- file formats
 
@@ -76,8 +81,7 @@ def _format_rows(table: np.ndarray, format_distinct) -> list[str]:
 def _json_rows(rows: np.ndarray) -> list[str]:
     """Each row as ``json.dumps`` writes its entries at 12 significant digits."""
     rounded = [[float(f"{v:.12g}") for v in row] for row in rows.tolist()]
-    # a JSON number never holds "]", so the rows split apart at "], ["
-    return [f"[{row}]" for row in json.dumps(rounded)[2:-2].split("], [")]
+    return [f"[{row}]" for row in json.dumps(rounded)[2:-2].split(ROW_SEP)]
 
 
 def _csv_rows(rows: np.ndarray) -> list[str]:
@@ -116,12 +120,49 @@ def write_model_json(doc: dict, path) -> None:
             value = doc[key]
             if key in ("cpts", "deps") and value:
                 for t, table in enumerate(value):
-                    line = "[" + ", ".join(_format_rows(table, _json_rows)) + "]"
-                    fh.write(("[\n    " if t == 0 else ",\n    ") + line)
+                    rows = ", ".join(_format_rows(table, _json_rows))
+                    fh.write(("[\n" if t == 0 else ",\n") + CLIQUE_PREFIX + rows + "]")
                 fh.write("\n  ]")
             else:
                 fh.write(json.dumps(value, sort_keys=True))
         fh.write("\n}\n")
+
+
+def read_model_json(path) -> dict:
+    """The document of a model file, as ``json.load`` reads it.
+
+    A line ``CLIQUE_PREFIX + "[...]]"`` whose distinct row texts parse to flat
+    lists of floats of one width is read as their table and swapped for the
+    int ``_MARK`` + its number.  If ``json.loads`` then finds just the marks
+    in ``cpts`` and ``deps``, in order, the tables take their place; any
+    other file is read whole by ``json.loads``.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    tables, doc, lines = [], None, text.split("\n") if CLIQUE_PREFIX + "[" in text else []
+    try:
+        for n, line in enumerate(lines):
+            clique = line.removesuffix(",")
+            if clique.startswith(CLIQUE_PREFIX + "[") and clique.endswith("]]"):
+                rows = clique[len(CLIQUE_PREFIX) + 1:-2].split(ROW_SEP)
+                index = dict(zip(dict.fromkeys(rows), range(len(rows))))
+                parsed = [json.loads(f"[{row}]") for row in index]
+                if any(type(v) is not float for row in parsed for v in row):
+                    break  # np.array raises ValueError on rows of two widths
+                lines[n] = f"{_MARK + len(tables)}{line[len(clique):]}"
+                tables.append(np.array(parsed, dtype=np.float64)[[index[r] for r in rows]])
+        else:
+            rest = "\n".join(lines)
+            if tables and all(rest.count(str(_MARK + t)) == 1 for t in range(len(tables))):
+                doc = json.loads(rest)
+    except ValueError:
+        pass
+    cpts, deps = (doc.get("cpts"), doc.get("deps")) if isinstance(doc, dict) else (0, 0)
+    # no other int has a mark's digits, and no float is an int
+    if type(cpts) is type(deps) is list and [(type(v), v) for v in cpts + deps] == [
+            (int, _MARK + t) for t in range(len(tables))]:
+        doc["cpts"], doc["deps"] = tables[:len(cpts)], tables[len(cpts):]
+        return doc
+    return json.loads(text)
 
 
 def write_matrix_csv(table: np.ndarray, path) -> None:
@@ -140,7 +181,7 @@ def _model_tables(doc: dict, key: str, count: int, shape: tuple) -> list:
     cost a third more memory while numpy finds its shape.
     """
     try:
-        tables = [np.array(table, dtype=np.float64) for table in doc[key]]
+        tables = [np.asarray(table, dtype=np.float64) for table in doc[key]]
     except (TypeError, ValueError):
         tables = None
     if tables is None or len(tables) != count or any(
@@ -352,13 +393,10 @@ def cmd_export(args) -> int:
     if not math.isfinite(args.threshold):
         raise ValueError(f"--threshold {args.threshold} is not a finite number")
     try:
-        with open(args.model, encoding="utf-8") as fh:
-            # the parsed document is freed as soon as the model is built
-            model = model_from_dict(json.load(fh))
+        # the parsed document is freed as soon as the model is built
+        model = model_from_dict(read_model_json(args.model))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{args.model}: {exc}") from None
-    if args.dot:
-        Path(args.dot).write_text(export_dot(model, threshold=args.threshold))
     if args.csv_dir:
         out_dir = Path(args.csv_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -366,6 +404,8 @@ def cmd_export(args) -> int:
             write_matrix_csv(cpt.B, out_dir / f"cpt_{t:02d}.csv")
         for t, dep in enumerate(model.deps, start=1):
             write_matrix_csv(dep.D, out_dir / f"dep_{t:02d}.csv")
+    if args.dot:
+        Path(args.dot).write_text(export_dot(model, threshold=args.threshold))
     return 0
 
 

@@ -21,10 +21,13 @@ from cbnet import (
     learn_cbn,
 )
 from cbnet.cli import (
+    CLIQUE_PREFIX,
     EPS_MIN,
+    MODEL_FORMAT,
     main,
     model_from_dict,
     model_to_dict,
+    read_model_json,
     read_stream_csv,
     write_matrix_csv,
     write_model_json,
@@ -384,6 +387,16 @@ class TestExportCommand:
         assert run_cli("export", "--model", broken, "--dot", tmp_path / "g.dot") != 0
         assert "deps" in capsys.readouterr().err
 
+    def test_csv_dir_not_made_writes_nothing(self, tmp_path, model_path, capsys):
+        # a regular file where the matrix directory should go
+        mats = tmp_path / "notadir"
+        mats.write_text("")
+        dot = tmp_path / "g.dot"
+        code = run_cli("export", "--model", model_path, "--dot", dot, "--csv-dir", mats)
+        assert code == 2
+        assert not dot.exists()
+        assert "File exists" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_row_count_contract(self, tmp_path):
@@ -592,3 +605,162 @@ class TestModelJson:
             write_matrix_csv(cpt, Path(tmp) / "a.csv")
             np.savetxt(Path(tmp) / "b.csv", cpt, delimiter=",", fmt="%.12g")
             assert (Path(tmp) / "a.csv").read_bytes() == (Path(tmp) / "b.csv").read_bytes()
+
+
+def reference_read(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def outcome(read, path):
+    """The model that ``read`` of the file gives, as bytes, or its error."""
+    try:
+        model = model_from_dict(read(path))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    tables = [cpt.B for cpt in model.cpts] + [dep.D for dep in model.deps]
+    return (model.M, model.period, model.provenance,
+            [(t.dtype.str, t.shape, t.tobytes()) for t in tables])
+
+
+def assert_reads_alike(path):
+    """``read_model_json`` gives what ``json.load`` gives, bit for bit."""
+    assert outcome(read_model_json, path) == outcome(reference_read, path)
+
+
+def whole_text_parses(path, monkeypatch) -> int:
+    """How often ``read_model_json(path)`` hands the whole file to json.loads."""
+    text, loads, calls = Path(path).read_text(encoding="utf-8"), json.loads, []
+
+    def counting(s, *args, **kwargs):
+        calls.append(s == text)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting)
+    read_model_json(path)
+    monkeypatch.undo()
+    return sum(calls)
+
+
+def layouts(text: str) -> dict[str, str]:
+    """The writer's text, and the same document as json writes it otherwise."""
+    doc = json.loads(text)
+    return {
+        "writer": text,
+        "compact": json.dumps(doc),
+        "indent": json.dumps(doc, indent=2),
+        "crlf": text.replace("\n", "\r\n"),
+    }
+
+
+def _entry_table(rows: int, width: int):
+    """Tables of ENTRIES, their twins and any float, rows repeated."""
+    return st.builds(
+        _table,
+        st.lists(st.sampled_from(ENTRIES) | st.floats(width=64),
+                 min_size=width, max_size=width),
+        st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                 min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=rows, max_size=rows),
+        st.just("c"),
+    )
+
+
+#: provenance values that look like what the reader puts in the text
+MARK_LIKE = [10**20, 10**20 + 1, str(10**20), 1e20, CLIQUE_PREFIX + "[0.5]]", "[[0.5]]"]
+
+
+@st.composite
+def entry_docs(draw):
+    """Model documents of M <= 3 whose tables hold ENTRIES and their twins."""
+    m, period = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return {
+        "format": MODEL_FORMAT,
+        "M": m,
+        "T": period,
+        "cpts": [draw(_entry_table(2**m, m)) for _ in range(period - 1)],
+        "deps": [draw(_entry_table(m, m)) for _ in range(period - 1)],
+        "provenance": draw(st.dictionaries(
+            st.text(max_size=3), st.sampled_from(MARK_LIKE) | st.integers(), max_size=2)),
+    }
+
+
+class TestReadModelJson:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=models().map(model_to_dict) | entry_docs())
+    def test_reads_as_json_load(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            write_model_json(doc, path)
+            for text in layouts(path.read_text()).values():
+                path.write_bytes(text.encode())
+                assert_reads_alike(path)
+
+    @pytest.mark.parametrize("layout", ["writer", "compact", "indent", "crlf"])
+    def test_learned_model_in_each_layout(self, tmp_path, layout):
+        path = tmp_path / "model.json"
+        write_model_json(model_to_dict(learned_model(3, 5)), path)
+        path.write_bytes(layouts(path.read_text())[layout].encode())
+        assert_reads_alike(path)
+
+    @pytest.mark.parametrize("clique", [0, 2])  # the first cpts line, the first deps line
+    @pytest.mark.parametrize("entry, bulk", [
+        (None, True),  # a second space after a comma
+        ("0.12345678901234567", True),
+        ("1", False),
+        ("NaN", True),
+    ])
+    def test_edited_clique_line(self, tmp_path, monkeypatch, clique, entry, bulk):
+        path = tmp_path / "model.json"
+        write_model_json(model_to_dict(learned_model(3, 3)), path)
+        lines = path.read_text().split("\n")
+        n = [i for i, line in enumerate(lines) if line.startswith(CLIQUE_PREFIX)][clique]
+        if entry is None:
+            lines[n] = lines[n].replace(", ", ",  ", 1)
+        else:
+            lines[n] = CLIQUE_PREFIX + "[" + entry + lines[n][lines[n].index(","):]
+        path.write_text("\n".join(lines))
+        assert_reads_alike(path)
+        assert whole_text_parses(path, monkeypatch) == (0 if bulk else 1)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    @pytest.mark.parametrize("value", ["5", "[\n    [[0.5, 0.5]]\n  ]"])
+    def test_duplicate_cpts_key(self, tmp_path, where, value):
+        path = tmp_path / "model.json"
+        write_model_json(model_to_dict(learned_model(1, 2)), path)
+        text = path.read_text()
+        extra = f'"cpts": {value},\n  '
+        at = text.index('"cpts"') if where == "before" else text.index('"epsilon"')
+        path.write_text(text[:at] + extra + text[at:])
+        assert_reads_alike(path)
+
+    @pytest.mark.parametrize("value", MARK_LIKE)
+    def test_mark_like_provenance(self, tmp_path, monkeypatch, value):
+        path = tmp_path / "model.json"
+        doc = model_to_dict(learned_model(2, 3))
+        doc["provenance"]["mark"] = value
+        write_model_json(doc, path)
+        assert_reads_alike(path)
+        # an int with the digits of a mark (10**20 + clique number) sends
+        # the file to json.loads
+        forged = any(str(10**20 + t) in json.dumps(value) for t in range(4))
+        assert whole_text_parses(path, monkeypatch) == (1 if forged else 0)
+
+    @pytest.mark.parametrize("held", ["1e20", str(10**20)])
+    def test_number_equal_to_a_mark(self, tmp_path, held):
+        # the clique line sits under another key, and cpts holds a number
+        # that equals its mark: json reads a cpts of one number
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{\n  "M": 1,\n  "T": 2,\n  "format": "cbnet-model/2",\n'
+            f'  "x": [\n{CLIQUE_PREFIX}[0.5], [0.5]]\n  ],\n'
+            f'  "cpts": [{held}],\n  "deps": []\n}}\n')
+        assert_reads_alike(path)
+        assert "model field 'cpts'" in outcome(read_model_json, path)[1]
+
+    def test_wide_model_read_in_bulk(self, tmp_path, monkeypatch):
+        # 4096-row cliques at M=12, as the wide-m12 benchmark writes them
+        path = tmp_path / "model.json"
+        write_model_json(model_to_dict(learned_model(12, 3)), path)
+        assert whole_text_parses(path, monkeypatch) == 0
+        assert_reads_alike(path)
