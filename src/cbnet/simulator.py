@@ -10,12 +10,13 @@ Randomness comes from a single PCG64 bit generator, so equal (config, seed)
 pairs reproduce streams bit-identically.  The draws are those of
 ``np.random.Generator(PCG64(seed))``'s scalar ``standard_exponential()`` and
 ``random()`` calls, in stream order, but they are decoded in blocks from the
-bit generator's raw words (``cbnet.ziggurat``), which saves the ~1 us that
-each scalar call costs.  The ziggurat's tables there are transcribed from
-numpy 2.4.6's ``libnpyrandom.a`` (``we_double``, ``ke_double``,
-``fe_double``); the streams therefore rest only on PCG64's raw words, which
-numpy keeps stable, and a test compares the decode with the Generator's own
-draws.
+bit generator's raw words (``cbnet.ziggurat.decode``), and each block's users
+are found with array ops, which saves the ~1 us that each scalar call costs.
+The ziggurat's tables there are transcribed from numpy 2.4.6's
+``libnpyrandom.a`` (``we_double``, ``ke_double``, ``fe_double``); the streams
+therefore rest only on PCG64's raw words, which numpy keeps stable, and tests
+compare the decode with the Generator's own draws and ``_draw``'s columns
+with a literal loop over them.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ KMH_TO_MS = 1.0 / 3.6
 
 #: (session, slot) rows marked per block by ``Simulation.run``
 _MARK_ROWS = 1 << 18
-#: PCG64 words decoded per block by ``Simulation._draw``; a larger block
-#: raises the peak memory of a run more than it saves time
-_DRAW_WORDS = 1 << 12
+#: PCG64 words decoded per block by ``Simulation._draw``: on a 360k-slot road,
+#: 8k took ~10% longer and 32k raised the traced peak 1.6 MiB for no clear gain
+_DRAW_WORDS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -102,70 +103,130 @@ class Simulation:
         ``np.random.Generator(bitgen)``, in its stream's order and bit for
         bit: ``scale * standard_exponential()`` and ``lo + (hi - lo) *
         random()``, numpy's own arithmetic for ``exponential(scale)`` and
-        ``uniform(lo, hi)``.  They are decoded from the raw words of
-        ``bitgen`` in blocks of ``_DRAW_WORDS`` by ``cbnet.ziggurat.Words``,
-        whose tables are numpy's, and the loop reads them at a cursor: a
-        negative value marks a draw that ``Words`` makes itself (a
-        ziggurat reject, or the end of a block).
+        ``uniform(lo, hi)``.  A user reads an arrival, a speed and a gap,
+        then a session length and another gap for as long as its gaps sum to
+        less than its transit time.
+
+        Which word a draw starts at never depends on the arrival times, so
+        the users are found with array ops over blocks of ``_DRAW_WORDS``
+        words (``cbnet.ziggurat.decode``).  A *regular* user's arrival and
+        first gap take the ziggurat's fast path and that gap outlasts its
+        transit, so the next user starts ``step`` words on; after any other
+        word, the next user is found by walking its draws, a pass per
+        session.  A user that does not fit in a block is carried over.
         """
         # imported here, not at the top: every cbnet command loads this
-        # module, and only a simulation needs the shared library or the
-        # ziggurat tables
+        # module, and only a simulation needs the ziggurat tables
         from array import array
 
-        from .ziggurat import Words
+        from .ziggurat import decode
 
         cfg = self.config
-        entry, speed = array("d"), array("d")
+        # made once for the expected users and trimmed at the end: grown a
+        # block at a time, they fragmented the heap (road-360k RSS +2 MiB)
+        room = int(cfg.arrival_rate * horizon)
+        entry, speed = array("d", [0.0]) * room, array("d", [0.0]) * room
         owner, start, end = array("q"), array("d"), array("d")
-        if cfg.arrival_rate > 0:
-            words = Words(bitgen, _DRAW_WORDS)
-            exp, uni = words.exp, words.uni  # refilled in place
-            i = 0  # the cursor: the next word to read
-            arrival_mean = 1.0 / cfg.arrival_rate
-            v_lo, v_hi = cfg.speed_range
-            v_span = v_hi - v_lo
-            gap_mean = 1.0 / cfg.traffic_rate if cfg.traffic_rate > 0 else None
-            service_mean, road_length = cfg.service_mean, cfg.road_length
-            t = 0.0
-            while True:
-                e = exp[i]
-                i += 1
-                if e < 0.0:
-                    e, i = words.exponential(i - 1)
-                t += arrival_mean * e
-                if t >= horizon:
-                    break
-                u = uni[i]
-                i += 1
-                if u < 0.0:
-                    u, i = words.uniform(i - 1)
-                v = v_lo + v_span * u
-                user = len(entry)
-                entry.append(t)
-                speed.append(v)
-                if gap_mean is None:
-                    continue
-                transit = road_length / v
-                s = 0.0
-                while True:
-                    e = exp[i]
-                    i += 1
-                    if e < 0.0:
-                        e, i = words.exponential(i - 1)
-                    s += gap_mean * e
-                    if s >= transit:
-                        break
-                    e = exp[i]
-                    i += 1
-                    if e < 0.0:
-                        e, i = words.exponential(i - 1)
-                    length = service_mean * e
-                    # the session cannot outlive the user's time on the road
-                    owner.append(user)
-                    start.append(t + s)
-                    end.append(t + min(s + length, transit))
-        return entry, speed, owner, start, end
+        if cfg.arrival_rate <= 0:
+            return entry, speed, owner, start, end
+        arrival_mean = 1.0 / cfg.arrival_rate
+        v_lo, v_hi = cfg.speed_range
+        v_span = v_hi - v_lo
+        gap_mean = 1.0 / cfg.traffic_rate if cfg.traffic_rate > 0 else None
+        service_mean, road_length = cfg.service_mean, cfg.road_length
+        step = 2 if gap_mean is None else 3
+        raw, t, count = np.empty(0, dtype=np.uint64), 0.0, 0
+        while True:
+            # at least as many new words as carried ones, so that a user
+            # longer than a block is decoded a logarithmic number of times
+            raw = np.concatenate((raw, bitgen.random_raw(max(_DRAW_WORDS, raw.size))))
+            n = raw.size
+            if n < step:
+                continue
+            e, after, u = decode(raw)
+            fast = after[:n] == np.arange(1, n + 1)
+            regular = np.zeros(n + step, dtype=bool)
+            if gap_mean is None:
+                regular[:n - 1] = fast[:-1]
+            else:
+                regular[:n - 2] = fast[:-2] & fast[2:] & (
+                    gap_mean * e[2:n] >= road_length / (v_lo + v_span * u[1:-1]))
+            # the other words, ending with the words n .. n + step - 1 past
+            # the block, one in each residue class modulo step; nxt is the
+            # word where the next user starts, or -1 past the block
+            other = (~regular).nonzero()[0]
+            nxt = np.full(other.size, -1)
+            a = after[other[:-step]]  # the speed's word
+            rows = (a < n).nonzero()[0]
+            a = a[rows]
+            sessions = []  # (rows, s, min(s + length, transit)) per pass
+            if gap_mean is None:
+                nxt[rows] = a + 1
+            else:
+                c = after[a + 1]  # the word after the gap
+                rows, a, c = rows[c <= n], a[c <= n], c[c <= n]
+                transit = road_length / (v_lo + v_span * u[a])
+                s = gap_mean * e[a + 1]
+                # each pass reads a session's length and the next gap; a row
+                # whose draws run past the block drops out, nxt left at -1
+                while rows.size:
+                    out = s >= transit
+                    nxt[rows[out]] = c[out]
+                    length_end = after[c]
+                    keep = ~out & (after[length_end] <= n)
+                    rows, s, c, transit, length_end = (
+                        x[keep] for x in (rows, s, c, transit, length_end))
+                    sessions.append((rows, s, np.minimum(s + service_mean * e[c], transit)))
+                    s = s + gap_mean * e[length_end]
+                    c = after[length_end]
+            # the run of regular users from word m ends at the first other
+            # word of m's residue class: run_end[m] is that word's row
+            run_end = np.full(n + step, other.size)
+            run_end[other] = np.arange(other.size)
+            for r in range(step):
+                ahead = run_end[r::step][::-1]
+                np.minimum.accumulate(ahead, out=ahead)
+            jump = np.where(nxt >= 0, run_end[nxt], -1)
+            # from word 0, each hop crosses a run of regular users and the
+            # other user that ends it; the last run ends at a user that
+            # needs words past the block, or at word n
+            hops, k = jump.tolist(), int(run_end[0])
+            path = [k]
+            while (k := hops[k]) >= 0:
+                path.append(k)
+            path = np.array(path)
+            ends = other[path]
+            begins = np.concatenate(([0], nxt[path[:-1]]))
+            counts = (ends - begins) // step + 1
+            counts[-1] -= 1  # the user that ends the last run is carried
+            first = counts.cumsum() - counts
+            users = np.repeat(begins - step * first, counts)
+            users += step * np.arange(users.size)
+            user_of = np.full(other.size, -1)  # the block's user at a row
+            user_of[path[:-1]] = (first + counts - 1)[:-1]
+            # cumsum adds in the order of the loop's t += arrival
+            times = np.concatenate(([t], arrival_mean * e[users])).cumsum()
+            cut = int(np.searchsorted(times[1:], horizon))
+            if sessions:
+                rows, s, stop = (np.concatenate(x) for x in zip(*sessions))
+                who = user_of[rows]
+                keep = ((who >= 0) & (who < cut)).nonzero()[0]
+                keep = keep[np.argsort(who[keep], kind="stable")]
+                who, s, stop = who[keep], s[keep], stop[keep]
+                owner.frombytes((who + count).tobytes())
+                start.frombytes((times[who + 1] + s).tobytes())
+                end.frombytes((times[who + 1] + stop).tobytes())
+            if count + cut > len(entry):  # more users than expected
+                entry.frombytes(bytes(8 * (count + cut - len(entry))))
+                speed.frombytes(bytes(8 * (count + cut - len(speed))))
+            np.frombuffer(entry)[count:count + cut] = times[1:cut + 1]
+            np.frombuffer(speed)[count:count + cut] = v_lo + v_span * u[after[users[:cut]]]
+            count += cut
+            if cut < users.size:
+                del entry[count:], speed[count:]
+                return entry, speed, owner, start, end
+            t = times[-1]
+            raw = raw[ends[-1]:]
 
     def run(self) -> ObservationStream:
         cfg = self.config

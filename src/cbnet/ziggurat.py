@@ -12,10 +12,12 @@ With ``r = w >> 11`` for a word ``w``:
   returns ``x`` when ``(FE[idx - 1] - FE[idx]) * u + FE[idx] < exp(-x)`` and
   starts over on the word after ``u`` when not.
 
-``Words`` decodes the fast path for a block of words at a time with numpy and
-runs the rest in Python.  PCG64's raw words are the part of numpy's random
-streams that numpy keeps stable, so the decode reproduces the Generator's
-draws bit for bit for as long as the tables below are numpy's.
+``decode`` gives the draws that start at each word of a block: the fast path
+with numpy, and the ~2% of words off it with ``math.exp`` and ``math.log1p``,
+which numpy's ``exp`` and ``log1p`` do not always match bit for bit.  PCG64's
+raw words are the part of numpy's random streams that numpy keeps stable, so
+the decode reproduces the Generator's draws bit for bit for as long as the
+tables below are numpy's.
 
 The tables are the bytes of numpy 2.4.6's ``we_double``, ``ke_double`` and
 ``fe_double`` (256 little-endian values each, at ``.rodata`` offsets 0x1400,
@@ -238,64 +240,40 @@ FE = np.frombuffer(bytes.fromhex("""
     24a3e1a86b94613f 253e0c54b52b593f b9fc8df70ab24f3f 4b0b9f321cc33d3f
 """), dtype="<f8")
 
-# the slow path runs on Python floats
-_WE, _FE = WE.tolist(), FE.tolist()
 
+def decode(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws that start at each of the words ``raw``: ``(exp, after, uni)``.
 
-class Words:
-    """A cursor over a PCG64 stream: ``exp[i]`` and ``uni[i]`` decode word i.
-
-    ``exp[i]`` is the exponential draw that starts at word i when it takes
-    the ziggurat's fast path and -1.0 when it does not; ``uni[i]`` is word
-    i's uniform draw.  Both lists hold one more -1.0 past the last decoded
-    word.  A reader takes ``exp[i]`` or ``uni[i]`` and moves the cursor one
-    word on; where the value is negative, it asks ``exponential(i)`` or
-    ``uniform(i)`` instead, which refill both lists in place when they must
-    and return the draw with the cursor after it.
+    ``exp[i]`` is the exponential draw that starts at word i, ``after[i]``
+    the word after it, and ``uni[i]`` word i's uniform draw.  ``exp`` and
+    ``after`` hold two items more than ``raw``, and where a draw needs words
+    past ``raw``, as on those two, ``after`` is ``len(raw) + 1``.
     """
-
-    def __init__(self, bitgen: np.random.PCG64, block: int):
-        self._bitgen, self._block = bitgen, block
-        self._raw = np.empty(0, dtype=np.uint64)
-        self.exp, self.uni = [-1.0], [-1.0]
-
-    def _refill(self, i: int) -> int:
-        """Keep the words from cursor i on and decode a block more after
-        them; returns 0, the cursor's new place."""
-        raw = np.concatenate((self._raw[i:], self._bitgen.random_raw(self._block)))
-        r = raw >> 11
-        idx = (raw >> 3) & 0xFF
-        x = r.astype(np.float64)
-        self.uni[:] = (x * 2.0**-53).tolist()
-        x *= WE[idx]
-        x[r >= KE[idx]] = -1.0
-        self.exp[:] = x.tolist()
-        self.exp.append(-1.0)
-        self.uni.append(-1.0)
-        self._raw = raw
-        return 0
-
-    def exponential(self, i: int) -> tuple[float, int]:
-        """The exponential draw at cursor i, and the cursor after it."""
-        while True:
-            if i == len(self._raw):
-                i = self._refill(i)
-            if self.exp[i] >= 0.0:
-                return self.exp[i], i + 1
-            if i + 1 == len(self._raw):
-                i = self._refill(i)
-            w = int(self._raw[i])
-            idx = (w >> 3) & 0xFF
-            x = (w >> 11) * _WE[idx]
-            u = self.uni[i + 1]
-            if idx == 0:
-                return EXP_R - log1p(-u), i + 2
-            if (_FE[idx - 1] - _FE[idx]) * u + _FE[idx] < exp(-x):
-                return x, i + 2
-            i += 2
-
-    def uniform(self, i: int) -> tuple[float, int]:
-        """The uniform draw at cursor i, the end of the decoded words, and
-        the cursor after it."""
-        i = self._refill(i)
-        return self.uni[i], i + 1
+    n = raw.size
+    r = raw >> 11
+    idx = (raw >> 3 & 0xFF).view(np.intp)  # numpy gathers fastest with intp
+    slow = (r >= KE[idx]).nonzero()[0]
+    uni = r.astype(np.float64)
+    e = np.zeros(n + 2)
+    np.multiply(uni, WE[idx], out=e[:n])
+    uni *= 2.0**-53
+    after = np.arange(1, n + 3)
+    after[n:] = n + 1
+    after[slow] = n + 1
+    slow = slow[slow < n - 1]  # the last word has no uniform after it
+    after[slow] = slow + 2
+    k, u = idx[slow], uni[slow + 1]
+    tail = k == 0
+    e[slow[tail]] = [EXP_R - log1p(-v) for v in u[tail].tolist()]
+    slow, k, u = slow[~tail], k[~tail], u[~tail]
+    wedge = [exp(-v) for v in e[slow].tolist()]
+    reject = slow[(FE[k - 1] - FE[k]) * u + FE[k] >= wedge]
+    # a reject starts over two words on, so its draw is the first one ahead
+    # of it, in steps of two words, that is not a reject
+    is_reject = np.zeros(n + 2, dtype=bool)
+    is_reject[reject] = True
+    to = reject + 2
+    while (again := is_reject[to]).any():
+        to[again] += 2
+    e[reject], after[reject] = e[to], after[to]
+    return e, after, uni

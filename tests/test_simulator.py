@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbnet import (
     ConfigError,
@@ -19,6 +22,10 @@ from cbnet import (
 )
 from cbnet import simulator, ziggurat
 from cbnet.simulator import KMH_TO_MS
+
+# the draws must compute nothing on the words past a block, where a
+# division by a zero speed would only warn
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def quiet_config(slots=40, cells=3, seed=0):
@@ -249,9 +256,16 @@ class TestDrawBlocks:
 
     @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
     def test_digest_with_tiny_blocks(self, name, monkeypatch):
-        # with 7 words a block, ~1 in 7 ziggurat rejects reads its second
-        # word from the next block
+        # with 7 words a block, most users and ~1 in 7 ziggurat rejects
+        # read words from the next block
         monkeypatch.setattr(simulator, "_DRAW_WORDS", 7)
+        TestStreamDigests().test_digest(name)
+
+    @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
+    def test_digest_with_one_word_blocks(self, name, monkeypatch):
+        # every user outgrows a block of 1 word, so each block carries the
+        # words of one and grows until it fits
+        monkeypatch.setattr(simulator, "_DRAW_WORDS", 1)
         TestStreamDigests().test_digest(name)
 
     def test_import_leaves_tables_unloaded(self):
@@ -288,8 +302,25 @@ def ziggurat_branches(raw):
     return counts
 
 
+def draw_starts(after, n):
+    """The words at which back-to-back exponential draws from word 0 start,
+    as far as ``ziggurat.decode``'s ``after`` over n words knows them, and
+    the word where the first draw it does not know starts."""
+    read = np.zeros(n, dtype=bool)  # words an earlier draw read
+    i = 0
+    slow = (after[:n] != np.arange(1, n + 1)).nonzero()[0]
+    for p, q in zip(slow.tolist(), after[slow].tolist()):
+        if p < i:
+            continue
+        if q > n:
+            return (~read[:p]).nonzero()[0], p
+        read[p + 1:q] = True
+        i = q
+    return (~read).nonzero()[0], n
+
+
 class TestZigguratDecode:
-    """``ziggurat.Words`` against numpy's own scalar draws, bit for bit.
+    """``ziggurat.decode`` against numpy's own scalar draws, bit for bit.
 
     A fresh Generator draws chunk after chunk, which is the same stream as
     one long call.
@@ -298,34 +329,134 @@ class TestZigguratDecode:
     N, CHUNK, BLOCK, SEED = 10_000_000, 1_000_000, 1 << 14, 20261018
 
     def test_exponentials(self):
-        # exp[i] is the draw at cursor i where it is not -1.0, the mark of a
-        # draw that ``exponential(i)`` makes; a run of exp[i:j] is at most a
-        # block long, so it fits in the room left past a chunk
-        words = ziggurat.Words(np.random.PCG64(self.SEED), self.BLOCK)
+        # the words of a draw that needs words past a block are decoded
+        # again with the next block
+        bitgen = np.random.PCG64(self.SEED)
         ref = np.random.Generator(np.random.PCG64(self.SEED))
-        exp, i = words.exp, 0
-        got, n = np.empty(self.CHUNK + self.BLOCK + 1), 0
+        raw = np.empty(0, dtype=np.uint64)
+        got, n = np.empty(self.CHUNK + 2 * self.BLOCK), 0
         for _ in range(self.N // self.CHUNK):
             while n < self.CHUNK:
-                j = exp.index(-1.0, i)
-                got[n:n + j - i] = exp[i:j]
-                n += j - i
-                got[n], i = words.exponential(j)
-                n += 1
+                raw = np.concatenate((raw, bitgen.random_raw(self.BLOCK)))
+                exp, after, _ = ziggurat.decode(raw)
+                starts, i = draw_starts(after, raw.size)
+                got[n:n + starts.size] = exp[starts]
+                n += starts.size
+                raw = raw[i:]
             assert np.array_equal(got[:self.CHUNK], ref.standard_exponential(self.CHUNK))
             n -= self.CHUNK
             got[:n] = got[self.CHUNK:self.CHUNK + n]
 
     def test_uniforms(self):
-        # each uniform takes one word, so each refill decodes a whole block
-        words = ziggurat.Words(np.random.PCG64(self.SEED), self.BLOCK)
+        # every word is a uniform draw
+        bitgen = np.random.PCG64(self.SEED)
         ref = np.random.Generator(np.random.PCG64(self.SEED))
         for _ in range(-(-self.N // self.BLOCK)):
-            words.uniform(len(words.uni) - 1)
-            assert np.array_equal(words.uni[:-1], ref.random(self.BLOCK))
+            _, _, uni = ziggurat.decode(bitgen.random_raw(self.BLOCK))
+            assert np.array_equal(uni, ref.random(self.BLOCK))
+
+    def test_draws_past_the_words_are_marked(self):
+        # decoded from the first n words, a draw is the whole stream's draw
+        # where that one ends by word n, and after[i] is n + 1 where it does
+        # not.  The prefixes end short, and at every word of a tail draw and
+        # of a draw after two wedge rejects
+        raw = np.random.PCG64(self.SEED).random_raw(1 << 16)
+        exp, after, uni = ziggurat.decode(raw)
+        slow = (after[:raw.size] != np.arange(1, raw.size + 1)).nonzero()[0]
+        tail = slow[(raw[slow] >> 3 & 0xFF) == 0][0]
+        rejects = slow[after[slow] - slow >= 5][0]
+        ends = [*range(1, 40), *range(tail, after[tail] + 2),
+                *range(rejects, after[rejects] + 2)]
+        for n in ends:
+            e, a, u = ziggurat.decode(raw[:n])
+            fits = after[:n] <= n
+            assert np.array_equal(a[:n], np.where(fits, after[:n], n + 1)), n
+            assert np.array_equal(a[n:], [n + 1, n + 1]), n
+            assert np.array_equal(e[:n][fits], exp[:n][fits]), n
+            assert np.array_equal(u, uni[:n]), n
 
     def test_every_branch_is_taken(self):
         # the first words of the stream the tests above compare
         raw = np.random.PCG64(self.SEED).random_raw(1 << 20)
         counts = ziggurat_branches(raw)
         assert all(counts.values()), counts
+
+
+def loop_draw(cfg, horizon):
+    """The draw loop, literally: ``Simulation._draw``'s five columns from
+    numpy's scalar draws, ``scale * standard_exponential()`` and ``lo + span
+    * random()``, in the loop's order."""
+    gen = np.random.Generator(np.random.PCG64(cfg.seed))
+    entry, speed, owner, start, end = [], [], [], [], []
+    v_lo, v_hi = cfg.speed_range
+    t = 0.0
+    while cfg.arrival_rate > 0:
+        t += 1.0 / cfg.arrival_rate * gen.standard_exponential()
+        if t >= horizon:
+            break
+        v = v_lo + (v_hi - v_lo) * gen.random()
+        user = len(entry)
+        entry.append(t)
+        speed.append(v)
+        if cfg.traffic_rate == 0:
+            continue
+        transit = cfg.road_length / v
+        s = 0.0
+        while True:
+            s += 1.0 / cfg.traffic_rate * gen.standard_exponential()
+            if s >= transit:
+                break
+            length = cfg.service_mean * gen.standard_exponential()
+            owner.append(user)
+            start.append(t + s)
+            end.append(t + min(s + length, transit))
+    return entry, speed, owner, start, end
+
+
+def assert_columns_equal(cfg):
+    """``Simulation._draw`` gives ``loop_draw``'s columns, bit for bit."""
+    horizon = cfg.duration_slots * cfg.sense_interval
+    got = Simulation(cfg)._draw(np.random.PCG64(cfg.seed), horizon)
+    want = loop_draw(cfg, horizon)
+    for name, g, w in zip(("entry", "speed", "owner", "start", "end"), got, want):
+        assert g.tobytes() == array(g.typecode, w).tobytes(), name
+
+
+@st.composite
+def draw_configs(draw):
+    """Small configs: no users, users without sessions, and users with up
+    to ~60 sessions on average at the slowest speed."""
+    road_length = draw(st.floats(10.0, 1000.0))
+    v_lo = draw(st.floats(1.0, 40.0))
+    sessions = draw(st.one_of(st.just(0.0), st.floats(0.01, 60.0)))
+    return SimulationConfig(
+        duration_slots=draw(st.integers(1, 120)),
+        road_length=road_length,
+        arrival_rate=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.5))),
+        speed_range=(v_lo, v_lo + draw(st.floats(0.0, 20.0))),
+        traffic_rate=sessions * v_lo / road_length,
+        service_mean=draw(st.floats(0.1, 50.0)),
+        sense_interval=draw(st.floats(0.25, 2.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestDrawColumns:
+    """All five columns of ``Simulation._draw`` against ``loop_draw``: the
+    stream digests pin only the slots that sessions mark, so a session end
+    one ulp off would pass them."""
+
+    @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
+    def test_digest_configs(self, name):
+        assert_columns_equal(TestStreamDigests.CASES[name][0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(draw_configs(), st.integers(1, 64))
+    @example(SimulationConfig(duration_slots=50, arrival_rate=0.0, seed=1), 1)
+    @example(SimulationConfig(duration_slots=90, traffic_rate=0.0, seed=2), 2)
+    @example(SimulationConfig(duration_slots=60, arrival_rate=0.05, speed_range=(5.0, 10.0),
+                              traffic_rate=0.5, service_mean=20.0, seed=3), 5)
+    def test_small_blocks(self, cfg, words):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_DRAW_WORDS", words)
+            assert_columns_equal(cfg)
