@@ -4,10 +4,10 @@ The library folds raw on/off sensor streams at candidate periods, estimates
 per-clique conditional probability tables in closed form, scores directed
 edges with a conditional log-probability dependence measure, and recovers
 the unknown period blindly as the smallest lag at which every phase of the
-folded stream is independent against a frame-shuffle surrogate null; the
-paper's rule, a lag-dependence profile and its DFT, is kept alongside.  A
-conditional-mutual-information baseline and a road-traffic simulator round
-out the toolkit.
+folded stream is independent, judged against the exact mean of G over
+every shuffle of its frames; the paper's rule, a lag-dependence profile
+and its DFT, is kept alongside.  A conditional-mutual-information baseline
+and a road-traffic simulator round out the toolkit.
 """
 
 from .baseline import cmi_edge, conventional_learn

@@ -460,8 +460,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CbnetError, ValueError, OSError) as exc:
-        print(f"cbnet {args.command}: {exc}", file=sys.stderr)
+    except (CbnetError, ValueError, OSError, MemoryError) as exc:
+        print(f"cbnet {args.command}: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

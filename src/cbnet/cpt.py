@@ -91,15 +91,15 @@ def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:
 
 
 def phase_counts(parent: np.ndarray, child: np.ndarray):
-    """(labels, seen, n, ones): the integer counts of M x K x S frames.
+    """(seen, n, ones): the integer counts of M x K x S frames.
 
     A frame's key is its clique s times 2^M plus its condition index, the
     bits shifted in below s, MSB first, one sensor row at a time, so int8
     frames are never copied to int64 whole.  ``seen`` holds the keys that
     occur, in key order, ``n`` their counts and ``ones`` their (U, M)
-    child-on counts; the (K, S) ``labels`` number each frame's key by its
-    place in ``seen``.  ``bbcpt`` counts one clique (S = 1); the period
-    search, every phase of a fold.
+    child-on counts, one weighted bincount per child over the frames' places
+    in ``seen``, whose float sums are whole numbers, exact below 2^53.
+    ``bbcpt`` counts one clique (S = 1); the period search, every phase.
     """
     M, K, S = parent.shape
     check_sensor_count(M)
@@ -112,25 +112,12 @@ def phase_counts(parent: np.ndarray, child: np.ndarray):
         keys += row
     counts = np.bincount(keys.ravel(), minlength=S * 2**M)
     seen = np.flatnonzero(counts)
-    labels = (np.cumsum(counts > 0) - 1)[keys]  # each key's place in seen
+    labels = (np.cumsum(counts > 0) - 1)[keys.ravel()]  # each key's place in seen
     del keys  # not held while the child frames are counted
-    ones = child_counts(labels, child, seen.size)
-    return labels, seen, counts[seen], ones
-
-
-def child_counts(labels: np.ndarray, child: np.ndarray, bins: int) -> np.ndarray:
-    """Child-on counts (bins, M) of every label, from (K, S) labels in [0, bins).
-
-    One weighted bincount per child sensor over the labels of the parent
-    frames (``phase_counts``) and the M x K x S child frames.  Its float
-    sums are whole numbers, exact below 2^53, so the int64 table holds them
-    as they are.
-    """
-    flat = labels.ravel()
-    num = np.empty((bins, child.shape[0]), dtype=np.int64)
+    ones = np.empty((seen.size, M), dtype=np.int64)
     for i, row in enumerate(child):
-        num[:, i] = np.bincount(flat, weights=row.ravel(), minlength=bins)
-    return num
+        ones[:, i] = np.bincount(labels, weights=row.ravel(), minlength=seen.size)
+    return seen, counts[seen], ones
 
 
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
@@ -150,7 +137,7 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     M = parent.shape[0]
-    seen, n, ones = phase_counts(parent[..., None], child[..., None])[1:]
+    seen, n, ones = phase_counts(parent[..., None], child[..., None])
     counts = np.zeros(2**M, dtype=np.int64)
     counts[seen] = n
     raw = np.full((2**M, M), 0.5)

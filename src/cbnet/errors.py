@@ -33,7 +33,7 @@ class NoValleyError(CbnetError):
     """No lag settles the period search within the data limit.
 
     The paper's lag profile has no local minimum, or no lag is at the
-    within-phase null of the surrogate search.
+    within-phase null of the exact shuffle search.
     """
 
 

@@ -3,19 +3,19 @@
 ``learn_cbn`` searches the period blindly with ``find_null_period``, which
 asks, lag by lag, whether the stream folded at that lag has become a
 sequence of independent phases.  For each phase the within-phase
-dependence of the next frame on the current one is scored by the
-likelihood-ratio (G) statistic of the phase's CPT counts.  Its null mean
-is estimated from surrogates that shuffle the frames of every phase
-against each other (Theiler et al., "Testing for nonlinearity in time
-series: the method of surrogate data", Physica D 1992), which removes the
-small-sample bias that makes the plug-in dependence grow with the lag.  A
-lag is at the null when neither any single phase nor the phase average
-exceeds the null by more than its threshold.  The learned period is the
-smallest lag from 2 up that is at the null and whose multiples 2x and 3x
-pass the per-phase test as well, the candidate-then-validate order of
-AUTOPERIOD (Vlachos, Yu & Castelli, SDM 2005).  The per-phase test catches
-divisors of the period at which most phases repeat but some do not; the
-phase average catches weak dependence spread evenly over the phases.
+dependence of the next frame on the current one is measured by the
+likelihood-ratio (G) statistic of the phase's CPT counts, against its
+exact mean over every shuffle of the phase's frames (the surrogates of
+Theiler et al., Physica D 1992), which removes the small-sample bias that
+makes the plug-in dependence grow with the lag.  A shuffle keeps the
+phase's counts, so that mean is a finite hypergeometric sum, and learning
+draws no random numbers.  A lag is at the null when neither any phase nor
+the phase sum exceeds it by more than its threshold.  The learned period
+is the smallest lag from 2 up that is at the null and whose multiples 2x
+and 3x pass the per-phase test as well, the candidate-then-validate order
+of AUTOPERIOD (Vlachos, Yu & Castelli, SDM 2005).  The per-phase test
+catches divisors of the period at which most phases repeat but some do
+not; the phase sum catches weak dependence spread evenly over the phases.
 
 ``paper_period`` is the rule of the source paper: the lag at which the
 averaged CPbD profile reaches its first local minimum gives an empirical
@@ -51,22 +51,20 @@ from .errors import (
 from .observations import ObservationStream, fold, frame_pair
 
 #: phase_dependence counts S = max(1, this // (2^M M)) phases at once: the
-#: S 2^M pattern counts and labels of ``phase_counts``, and a child-on table
-#: of one M-wide row per seen (phase, pattern).
+#: S 2^M pattern counts of ``phase_counts``, and a child-on table of one
+#: M-wide row per seen (phase, pattern).
 _BLOCK_ELEMENTS = 1 << 16
+_SUPPORT_CHUNK = 1 << 14  #: counts of the null's hypergeometric walk at a time
 
-#: shuffled copies per lag from which the surrogate search takes the null mean
-SURROGATES = 8
-#: threshold of one phase's excess in null standard deviations.  The G
-#: statistic of a sparse table has a heavy upper tail: in a scan of 24k null
-#: phases of the planted streams of acceptance criterion 4 (3 surrogates
-#: each), single phases reached 5.5.
+#: threshold of one phase's excess in null standard deviations.  The G of a
+#: sparse table has a heavy upper tail: in 24k phases of shuffled copies of
+#: the planted streams of acceptance criterion 4, single phases reached 5.5.
 Z_PHASE = 5.0
-#: threshold of the phase-average excess: the one-sided 1% normal quantile
+#: level of the phase-average test: the one-sided 1% normal quantile
 Z_AVERAGE = 2.326
 #: the null mean of one seen row's G term for one child never exceeds
 #: 2 ln 2, reached by a single frame at an even marginal.  A lag whose
-#: excess over this cap already rejects the null needs no surrogates.
+#: excess over this cap already rejects the null needs no null mean.
 _NULL_CAP = 2.0 * math.log(2.0)
 
 
@@ -114,7 +112,7 @@ def lag_dependence(
     Folding the (sub)stream at P = x makes each phase column a clique whose
     consecutive frames are exactly x raw slots apart, so pairing it with its
     next-frame self probes the lag-x dependence.  Each phase's CPT is counted
-    by ``bbcpt`` and scored by ``cpbd_clique``; the value is the sum of the x
+    by ``bbcpt`` and measured by ``cpbd_clique``; the value is the sum of the x
     per-phase CPbD matrices, taken in phase order and averaged over phases
     and edges: the profile ``paper_period`` searches.
     """
@@ -145,91 +143,112 @@ def phase_dependence(parent: np.ndarray, child: np.ndarray):
     pattern changes any child's frequency.  Also returns the degrees of
     freedom, (seen patterns - 1) per child that takes both values, the
     largest null mean, ``_NULL_CAP`` per seen pattern and such child, and
-    ``score(orders)``: one row of G per frame order in which the parent
-    frames of every phase are paired with the child frames.  An order moves
-    only the parent frames, so each phase keeps its pattern counts and child
-    totals, and only how a pattern's frames split between a child's two
-    values changes.  G is the same whichever value is counted, so ``score``
-    counts, for each child and phase, only the shuffled parent labels at the
-    entries of the value the child takes less often in that phase, found
-    once per call.  Its G rows are bit-identical to those of counting the
-    reordered parent frames whole.
+    ``null()``: the exact mean of G over every order in which the parent
+    frames of each phase can be paired with its child frames.  An order
+    keeps each phase's pattern counts n and child-on totals, so the count c
+    of a pattern's frames with child i on is Hypergeom(K, on_i, n), and
+    ``null()`` sums the means of phi(c) + phi(n - c), phi(c) = c ln c, as
+    G is summed.
     """
     m, k, x = parent.shape
     phi = np.zeros(k + 1)  # n ln n at the integer count n, 0 at n = 0
     phi[1:] = np.arange(1, k + 1) * np.log(np.arange(1, k + 1))
-
-    def block_g(counts, n, starts, fixed):  # from one child value's counts
-        terms = (phi[counts] + phi[n[:, None] - counts]).sum(axis=-1)
-        return 2.0 * (np.add.reduceat(terms, starts) - fixed)
 
     block = max(1, _BLOCK_ELEMENTS // (2**m * m))
     g, cap, df = np.empty(x), np.empty(x), np.empty(x, dtype=np.int64)
     blocks = []
     for lo in range(0, x, block):
         phases = slice(lo, lo + block)
-        c = child[:, :, phases]
-        labels, seen, n, ones = phase_counts(parent[:, :, phases], c)
-        # seen is in key order: each phase's labels are one run from ``starts``
-        starts = np.searchsorted(seen >> m, np.arange(labels.shape[1]))
+        seen, n, ones = phase_counts(parent[:, :, phases], child[:, :, phases])
+        # seen is in key order: each phase's patterns are one run from ``starts``
+        starts = np.searchsorted(seen >> m, np.arange(min(block, x - lo)))
         on = np.add.reduceat(ones, starts)  # the phase's child-on totals
         fixed = m * np.add.reduceat(phi[n], starts) - m * phi[k]
         fixed += (phi[on] + phi[k - on]).sum(axis=-1)
-        g[phases] = block_g(ones, n, starts, fixed)
-        blocks.append((phases, labels, c, 2 * on > k, n, starts, fixed))
-        live = ((on > 0) & (on < k)).sum(axis=-1)
+        terms = (phi[ones] + phi[n[:, None] - ones]).sum(axis=-1)
+        g[phases] = 2.0 * (np.add.reduceat(terms, starts) - fixed)
         rows = np.diff(starts, append=seen.size)  # seen patterns per phase
+        blocks.append((phases, n, np.repeat(on, rows, axis=0), starts, fixed))
+        live = ((on > 0) & (on < k)).sum(axis=-1)
         df[phases] = (rows - 1) * live
         cap[phases] = _NULL_CAP * rows * live
 
-    def score(orders) -> np.ndarray:
-        # G sums phi(c) + phi(n - c) over the counts c of one child value,
-        # so a phase whose child is mostly on counts its off-entries; the
-        # entries are kept as (frame, phase) pairs of their block
-        found = []
-        for _, labels, c, mostly_on, *_ in blocks:
-            rare = ((bits != 0) != often for bits, often in zip(c, mostly_on.T))
-            found.append([np.divmod(np.flatnonzero(r), labels.shape[1]) for r in rare])
-        out = []
-        for order in orders:  # any iterable: one order is held at a time
-            order = np.arange(k)[order]  # a permutation array, list or slice
-            row = np.empty(x)
-            for (phases, labels, _, _, n, starts, fixed), pairs in zip(blocks, found):
-                flat, width = labels.ravel(), labels.shape[1]
-                counts = np.empty((n.size, m), dtype=np.int64)
-                for i, (f, s) in enumerate(pairs):
-                    shuffled = flat[order[f] * width + s]  # labels[order[f], s]
-                    counts[:, i] = np.bincount(shuffled, minlength=n.size)
-                row[phases] = block_g(counts, n, starts, fixed)
-            out.append(row)
-        return np.array(out)
+    def null() -> np.ndarray:
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1)))))
+        out = np.empty(x)
+        for phases, n, on, starts, fixed in blocks:
+            n = np.broadcast_to(n[:, None], on.shape).ravel()  # one item per row, child
+            mean = _mean_phi(n, on.ravel(), k, phi, log_fact).reshape(on.shape)
+            out[phases] = 2.0 * (np.add.reduceat(mean.sum(axis=-1), starts) - fixed)
+        return out
 
-    return g, df, cap, score
+    return g, df, cap, null
 
 
-def _rejects(excess: np.ndarray, sd: np.ndarray, average: bool) -> bool:
-    """Whether a lag's per-phase excesses over a null mean reject that null."""
-    if (excess > Z_PHASE * sd).any():
-        return True
-    return average and float(excess.sum()) > Z_AVERAGE * math.sqrt(float((sd**2).sum()))
+def _mean_phi(n, on, k, phi, log_fact) -> np.ndarray:
+    """E[phi(c) + phi(n - c)] for c ~ Hypergeom(k, on, n), item by item.
+
+    The pmf is taken up to factors free of c, log p(c) = -(lf[c] + lf[on - c]
+    + lf[n - c] + lf[k - on - n + c]), relative to its maximum, at the mode,
+    and divided by its sum.  All supports are walked in one run.
+    """
+    low = np.maximum(0, n + on - k)  # the item's smallest count
+    bounds = np.concatenate(([0], np.cumsum(np.minimum(n, on) - low + 1)))
+    mode, rest = (n + 1) * (on + 1) // (k + 2), k - on - n
+    top = sum(log_fact[v] for v in (mode, on - mode, n - mode, rest + mode))
+    mass, total = np.zeros(n.size), np.zeros(n.size)
+    for first in range(0, int(bounds[-1]), _SUPPORT_CHUNK):
+        last = min(first + _SUPPORT_CHUNK, int(bounds[-1]))
+        i0 = int(np.searchsorted(bounds, first, side="right")) - 1
+        i1 = int(np.searchsorted(bounds, last))  # the chunk walks items i0..i1-1
+        reps = np.diff(np.clip(bounds[i0 : i1 + 1], first, last))
+        c = np.arange(first, last) - np.repeat(bounds[i0:i1] - low[i0:i1], reps)
+        p = np.repeat(top[i0:i1], reps) - log_fact[c]  # log p, then p
+        for other, sign in ((rest, 1), (on, -1), (n, -1)):  # ends at n - c
+            other = np.repeat(other[i0:i1], reps) + sign * c
+            p -= log_fact[other]
+        np.exp(p, out=p)
+        heads = np.cumsum(reps) - reps
+        mass[i0:i1] += np.add.reduceat(p, heads)
+        p *= phi[c] + phi[other]
+        total[i0:i1] += np.add.reduceat(p, heads)
+    return total / mass
+
+
+def _average_point(mu: float, var: float) -> float:
+    """Upper ``Z_AVERAGE`` point of c chi2_nu with mean mu and variance var.
+
+    Wilson & Hilferty's mu (1 - h + z sqrt(h))^3, h = var / (9 mu^2), taken
+    at max(mu, sd): below sd it falls as mu rises, and is <= 0 below 0.12 sd.
+    """
+    mu = max(mu, math.sqrt(var))
+    h = var / (9.0 * mu * mu)
+    return mu * (1.0 - h + Z_AVERAGE * math.sqrt(h)) ** 3
+
+
+def _rejects(g: np.ndarray, null: np.ndarray, sd: np.ndarray, average: bool) -> bool:
+    """Whether a lag's per-phase G rejects a per-phase null mean."""
+    point = _average_point(null.sum(), (sd**2).sum()) if average else math.inf
+    return bool((g - null > Z_PHASE * sd).any() or g.sum() > point)
 
 
 def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     """(first lag at the null, smallest lag confirmed at its multiples).
 
     Lags x = 2, 3, ... are tested in turn.  One phase's excess G - null is
-    compared with its standard deviation sqrt(2 df (1 + 1/SURROGATES)),
-    which counts the noise of the surrogate mean, against ``Z_PHASE``; the
-    sum over phases against ``Z_AVERAGE``.  A lag that passes both is
-    confirmed when 2x and 3x pass the per-phase test.  Only lags that leave
-    every phase at least two frame pairs (x <= N/3) are tested, candidates
-    and multiples alike; a stream of fewer than 6 slots has none.
+    compared with its standard deviation sqrt(2 df) against ``Z_PHASE``; the
+    sum of G with the point of the scaled chi-square of the summed means and
+    variances (``_average_point``; Satterthwaite 1946).  A lag that passes
+    both is confirmed when 2x and 3x pass the per-phase test.  Only lags that
+    leave every phase at least two frame pairs (x <= N/3) are tested,
+    candidates and multiples alike; a stream of fewer than 6 slots has none.
 
-    Each lag is folded and counted once, at its first test, which scores its
-    ``SURROGATES`` lag-seeded shuffles too unless the cap already rejects;
-    only (G, sd, cap, null) is kept.  A lag is tested as a multiple (per
-    phase only) only before its own turn as a candidate, so a cap that
-    rejects its first test rejects every later one.
+    Each lag is folded and counted once, at its first test, which takes the
+    exact null mean too unless the cap already rejects; only (G, sd, null)
+    is kept, with the cap for the null where it rejected.  Both tests
+    reject any null mean below a mean they reject, and a lag is tested as
+    a multiple (per phase only) only before its own turn as a candidate,
+    so a cap that rejects its first test rejects every later one.
     """
     # a lag is testable while every phase keeps at least two frame pairs
     max_lag = stream.slot_count // 3
@@ -242,19 +261,11 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     def at_null(x: int, average: bool) -> bool:
         if x not in tested:
             frames = fold(stream, x)
-            g, df, cap, score = phase_dependence(frames[:, :-1], frames[:, 1:])
-            sd = np.sqrt(2.0 * np.maximum(df, 1) * (1.0 + 1.0 / SURROGATES))
-            null = None
-            if not _rejects(g - cap, sd, average):
-                permute = np.random.default_rng(x).permutation
-                orders = (permute(frames.shape[1] - 1) for _ in range(SURROGATES))
-                null = score(orders).mean(axis=0)
-            tested[x] = (g, sd, cap, null)
-        g, sd, cap, null = tested[x]
-        if _rejects(g - cap, sd, average):
-            return False
-        assert null is not None, f"lag {x} tested as a multiple after its turn"
-        return not _rejects(g - null, sd, average)
+            g, df, cap, null = phase_dependence(frames[:, :-1], frames[:, 1:])
+            sd = np.sqrt(2.0 * np.maximum(df, 1))
+            tested[x] = g, sd, (cap if _rejects(g, cap, sd, average) else null())
+        g, sd, mean = tested[x]
+        return not _rejects(g, mean, sd, average)
 
     first = None
     for x in range(2, max_lag + 1):

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per numbered criterion.
 
 Criteria 4 and 6 are end-to-end period-recovery targets for the blind
-period search of learn_cbn (the surrogate-null test of cbnet.period).  The
+period search of learn_cbn (the exact shuffle-null test of cbnet.period).  The
 paper's first-local-minimum valley rule, still available as
 cbnet.paper_period, meets neither.  Criterion 4 passes; in
 criterion 6 the slow region asks for a decorrelation lag of 14-21 slots,

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -36,6 +39,14 @@ from cbnet.cli import (
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_fresh(code: str, **env) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's cbnet."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def simulate(tmp_path, name="obs.csv", slots=400, seed=1, extra=()):
@@ -198,6 +209,36 @@ class TestLearnCommand:
         assert run_cli("learn", "--input", wide, "--output", model_path) == 2
         assert not model_path.exists()
         assert f"sensor count {m}" in capsys.readouterr().err
+
+    def test_blind_learn_draws_no_random_numbers(self, tmp_path):
+        # the period search takes the exact mean of its shuffle null, so a
+        # blind learn never even loads numpy.random
+        obs, model_path = simulate(tmp_path, slots=3000), tmp_path / "model.json"
+        argv = ["learn", "--input", str(obs), "--output", str(model_path)]
+        code = ("import sys; from cbnet.cli import main; "
+                f"sys.exit(main({argv!r}) or 'numpy.random' in sys.modules)")
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(model_path.read_text())["tp"] >= 2
+
+    def test_out_of_memory_exits_two(self, tmp_path):
+        # M = 20 at period 12: each clique's 2^20 x 20 tables are 160 MiB,
+        # and the interpreter sets its own 512 MiB address-space limit
+        obs, model_path = tmp_path / "wide.csv", tmp_path / "model.json"
+        rng = np.random.default_rng(20)
+        values = (rng.random((20, 240)) < 0.5).astype(np.int8)
+        from cbnet.stream_csv import write_stream_csv
+
+        write_stream_csv(ObservationStream(values), obs)
+        argv = ["learn", "--input", str(obs), "--output", str(model_path), "--period", "12"]
+        code = ("import resource, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20)); "
+                f"from cbnet.cli import main; sys.exit(main({argv!r}))")
+        proc = run_fresh(code, OPENBLAS_NUM_THREADS="1")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("cbnet learn: Unable to allocate"), proc.stderr
+        assert not model_path.exists()
 
 
     def test_epsilon_floor_exports(self, tmp_path):
