@@ -6,10 +6,13 @@ all 2^(M+1) joint realizations of (all parents, child) with frequency-count
 probabilities.  The realization enumeration - the M^2 * 2^(M+1) term
 evaluations whose cost the benchmark is about - is a literal Python loop
 with no memoization across edges: every edge recounts its own frequencies
-and re-walks every realization.  Only the frequency tally itself uses a
-histogram, so that the measured scaling reflects the enumeration structure
-rather than a deliberately slow counting loop; this choice is documented in
-the benchmark output and README.
+from the frames and re-walks every realization.  ``conventional_learn``
+validates the frames and converts them to int64 once per learn; that is
+the only thing the edges share.  The frequency tally uses a histogram, and
+its bins become Python ints in one ``tolist()``, so that the measured
+scaling reflects the enumeration structure rather than a deliberately slow
+counting loop or per-edge memory copies; this choice is documented in the
+benchmark output and README.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def cmi_edge(parent, child, k: int, i: int) -> float:
     weights = np.left_shift(1, np.arange(M, 0, -1, dtype=np.int64))
     idx = weights @ parent + child[i - 1]
     flat = np.bincount(idx, minlength=2 ** (M + 1))
-    joint = [[int(flat[2 * a]), int(flat[2 * a + 1])] for a in range(2**M)]
+    joint = flat[: 2 ** (M + 1)].reshape(2**M, 2).tolist()
 
     # marginals over a, z (pattern a without parent k's bit) and (y, z)
     bit = M - k
@@ -73,8 +76,10 @@ def cmi_edge(parent, child, k: int, i: int) -> float:
 def conventional_learn(parent, child) -> np.ndarray:
     """Score all M^2 edges with cmi_edge, recounting from scratch each time.
 
-    The M x M scores hold parent rows and child columns, as in
-    ``DependenceMatrix.D``.
+    The frames are validated and converted to int64 once, here; each edge
+    then recounts its joint table from them and enumerates every
+    realization.  The M x M scores hold parent rows and child columns, as
+    in ``DependenceMatrix.D``.
     """
     parent, child = _check_pair(parent, child)
     M = parent.shape[0]

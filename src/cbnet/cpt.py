@@ -71,8 +71,10 @@ def _frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_pair(parent, child) -> tuple[np.ndarray, np.ndarray]:
+    """Validated int64 frames; an int64 input comes back as itself, not a
+    copy, so callers must not write to them."""
     parent, child = _frames(parent, child)
-    return parent.astype(np.int64), child.astype(np.int64)
+    return parent.astype(np.int64, copy=False), child.astype(np.int64, copy=False)
 
 
 def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:

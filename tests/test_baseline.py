@@ -1,5 +1,6 @@
 """Conditional-mutual-information baseline."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -119,3 +120,54 @@ class TestConventionalLearn:
                 total += 1
                 agree += int(np.argmax(D[:, i]) == np.argmax(S[:, i]))
         assert agree / total >= 0.8
+
+
+class TestPinnedScores:
+    """SHA-256 of ``conventional_learn(parent, child).tobytes()`` on the
+    inputs ``cbnet bench`` makes at seed 0, recorded before the edges
+    stopped copying the frames: the scores stay bit-identical."""
+
+    DIGESTS = {
+        8: "f4889f2886cb1d13f1c6176ff4e18b35abc81efda10cc7d986cb4b1903ac3a60",
+        12: "e193372168f5ab0f0511747725c6800a4730164200caa5e473d970da044f6510",
+    }
+
+    @pytest.mark.parametrize("M", sorted(DIGESTS))
+    def test_bench_inputs(self, M):
+        # as cli._bench_one_m makes them: N = 36,000 frames of one stream
+        rng = np.random.Generator(np.random.PCG64(0 + M))
+        stream = (rng.random((M, 36000 + 1)) < 0.5).astype(np.int8)
+        scores = conventional_learn(stream[:, :-1], stream[:, 1:])
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == self.DIGESTS[M]
+
+
+def frames_as(dtype):
+    """The same 3 x 400 frame pair as int8 strided views of one stream, as
+    bool arrays or as int64 arrays."""
+    rng = np.random.default_rng(6)
+    stream = (rng.random((3, 401)) < 0.4).astype(np.int8)
+    parent, child = stream[:, :-1], stream[:, 1:]
+    if dtype == "int8 view":
+        return parent, child
+    return parent.astype(dtype), child.astype(dtype)
+
+
+class TestInputDtypes:
+    @pytest.mark.parametrize("dtype", ["int8 view", bool, np.int64])
+    def test_edge_equals_learn_entry(self, dtype):
+        parent, child = frames_as(dtype)
+        scores = conventional_learn(parent, child)
+        for k in range(1, 4):
+            for i in range(1, 4):
+                assert cmi_edge(parent, child, k, i) == scores[k - 1, i - 1]
+        # each dtype scores the same frames bit for bit
+        assert scores.tobytes() == conventional_learn(*frames_as(np.int64)).tobytes()
+
+    def test_int64_inputs_left_unchanged(self):
+        # int64 frames reach every edge as the caller's own arrays, not copies
+        parent, child = frames_as(np.int64)
+        before = parent.tobytes(), child.tobytes()
+        cmi_edge(parent, child, 2, 3)
+        assert (parent.tobytes(), child.tobytes()) == before
+        conventional_learn(parent, child)
+        assert (parent.tobytes(), child.tobytes()) == before

@@ -13,7 +13,7 @@ from cbnet import (
     condition_matrix,
     counting_oracle,
 )
-from cbnet.cpt import M_MAX, UNDEFINED, match_indicator, phase_counts
+from cbnet.cpt import M_MAX, UNDEFINED, _check_pair, match_indicator, phase_counts
 
 
 def random_pair(M, K, seed, p=0.5, q=0.5):
@@ -148,6 +148,14 @@ class TestCountingOracle:
         B, counts = counting_oracle(parent, child)
         assert counts.tolist() == [1, 1, 1, 1]
         assert B[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_int64_inputs_left_unchanged(self):
+        # _check_pair hands int64 frames back as themselves, not as copies
+        parent, child = (a.astype(np.int64) for a in random_pair(3, 50, 8))
+        before = parent.tobytes(), child.tobytes()
+        assert np.shares_memory(_check_pair(parent, child)[0], parent)
+        counting_oracle(parent, child)
+        assert (parent.tobytes(), child.tobytes()) == before
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """Traffic simulator: scripted traces, determinism, long-run statistics."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -252,21 +253,46 @@ class TestStreamDigests:
 
 
 class TestDrawBlocks:
-    """``Simulation._draw`` decodes PCG64 words in blocks of ``_DRAW_WORDS``."""
+    """``Simulation._draw`` decodes PCG64 words in blocks of ``_DRAW_WORDS``.
+
+    Each digest config, cut to ``SLOTS`` slots, gives the same stream and
+    the same five ``_draw`` columns at tiny blocks as at the default size,
+    whose full-length streams ``TestStreamDigests`` pins.
+    """
+
+    SLOTS = 3600
+
+    @classmethod
+    def outputs(cls, name):
+        cfg, scripted, _ = TestStreamDigests.CASES[name]
+        cfg = dataclasses.replace(cfg, duration_slots=cls.SLOTS)
+        sim = Simulation(cfg)
+        if scripted is not None:
+            sim.inject_user(*scripted)
+        horizon = cfg.duration_slots * cfg.sense_interval
+        columns = sim._draw(np.random.PCG64(cfg.seed), horizon)
+        names = ("entry", "speed", "owner", "start", "end", "stream")
+        outputs = [c.tobytes() for c in columns] + [sim.run().values.tobytes()]
+        return dict(zip(names, outputs))
+
+    def assert_blocks_agree(self, name, words, monkeypatch):
+        want = self.outputs(name)
+        monkeypatch.setattr(simulator, "_DRAW_WORDS", words)
+        got = self.outputs(name)
+        for key in want:
+            assert got[key] == want[key], key
 
     @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
     def test_digest_with_tiny_blocks(self, name, monkeypatch):
         # with 7 words a block, most users and ~1 in 7 ziggurat rejects
         # read words from the next block
-        monkeypatch.setattr(simulator, "_DRAW_WORDS", 7)
-        TestStreamDigests().test_digest(name)
+        self.assert_blocks_agree(name, 7, monkeypatch)
 
     @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
     def test_digest_with_one_word_blocks(self, name, monkeypatch):
         # every user outgrows a block of 1 word, so each block carries the
         # words of one and grows until it fits
-        monkeypatch.setattr(simulator, "_DRAW_WORDS", 1)
-        TestStreamDigests().test_digest(name)
+        self.assert_blocks_agree(name, 1, monkeypatch)
 
     def test_import_leaves_tables_unloaded(self):
         # every cbnet command imports cbnet; only a simulation needs the tables
