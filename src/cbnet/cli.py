@@ -287,10 +287,10 @@ def cmd_learn(args) -> int:
 def proposed_pipeline(parent: np.ndarray, child: np.ndarray, eps: float = DEFAULT_EPS):
     """The timed closed-form path: CPT, clique dependence, normalization.
 
-    Runs the production ``bbcpt``, whose histogram counting is property-tested
-    to be bit-identical to the literal floored-average matrix form; the
-    benchmark compares algorithms, not a deliberately naive realization of
-    one side.
+    Runs the production ``bbcpt``, whose sorted-key counting (``pair_counts``)
+    is property-tested to be bit-identical to the literal floored-average
+    matrix form; the benchmark compares algorithms, not a deliberately naive
+    realization of one side.
     """
     return normalize(cpbd_clique(bbcpt(parent, child, eps=eps)))
 

@@ -3,8 +3,8 @@
 The 2^M parent patterns are the rows of a condition matrix, row x being the
 binary encoding of x.  The closed form matches every frame against every
 row with a floored-average indicator; since a frame matches exactly the row
-whose index is its own parent pattern, production code counts by encoding
-each frame's parent column as that condition index and histogramming.  The
+whose index is its own parent pattern, production code codes both columns
+of each frame pair as pattern indices and counts their sorted keys.  The
 literal floored-average match (``match_indicator``) and a per-frame counting
 oracle are kept as references for the tests.
 """
@@ -92,34 +92,43 @@ def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:
     return (np.rint(agree).astype(np.int64)) // M
 
 
-def phase_counts(parent: np.ndarray, child: np.ndarray):
-    """(seen, n, ones): the integer counts of M x K x S frames.
+def pattern_codes(frames: np.ndarray) -> np.ndarray:
+    """Each frame's M-bit pattern, sensor 1 the most significant bit.
 
-    A frame's key is its clique s times 2^M plus its condition index, the
-    bits shifted in below s, MSB first, one sensor row at a time, so int8
-    frames are never copied to int64 whole.  ``seen`` holds the keys that
-    occur, in key order, ``n`` their counts and ``ones`` their (U, M)
-    child-on counts, one weighted bincount per child over the frames' places
-    in ``seen``, whose float sums are whole numbers, exact below 2^53.
-    ``bbcpt`` counts one clique (S = 1); the period search, every phase.
+    frames is an (M, ...) array of 0/1 values; the codes take the shape of
+    its trailing axes, in the narrowest signed integer dtype that holds them.
     """
-    M, K, S = parent.shape
-    check_sensor_count(M)
-    if parent.dtype.kind not in "biu":
-        parent = parent.astype(np.int64)
-    keys = np.empty((K, S), dtype=np.int64)
-    keys[:] = np.arange(S)
-    for row in parent:
-        keys <<= 1
-        keys += row
-    counts = np.bincount(keys.ravel(), minlength=S * 2**M)
-    seen = np.flatnonzero(counts)
-    labels = (np.cumsum(counts > 0) - 1)[keys.ravel()]  # each key's place in seen
-    del keys  # not held while the child frames are counted
-    ones = np.empty((seen.size, M), dtype=np.int64)
-    for i, row in enumerate(child):
-        ones[:, i] = np.bincount(labels, weights=row.ravel(), minlength=seen.size)
-    return seen, counts[seen], ones
+    check_sensor_count(len(frames))
+    codes = np.zeros(frames.shape[1:], np.min_scalar_type(-(1 << len(frames))))
+    for row in frames:  # a float row's 0/1 values cast exactly
+        codes <<= 1
+        np.add(codes, row, out=codes, casting="unsafe")
+    return codes
+
+
+def pair_counts(parent: np.ndarray, child: np.ndarray, m: int):
+    """(seen, n, ones): the integer counts of (K, S) pattern codes of M sensors.
+
+    Frame pair k of clique s has the key s << 2M | parent << M | child; the
+    sorted keys run in triples, each run as long as its triple's count.
+    ``seen`` holds the (clique, parent) keys s << M | parent that occur, in
+    key order, ``n`` their counts and ``ones`` their (U, M) child-on counts;
+    no table of all 2^M patterns is made.  ``bbcpt`` counts one clique
+    (S = 1); the period search, every phase.
+    """
+    s = parent.shape[1]
+    if 2 * m + (s - 1).bit_length() > 63:
+        raise DimensionError(f"keys of {s} cliques of {m} sensors exceed 63 bits")
+    keys = np.left_shift(parent, m, dtype=np.int64)  # a new array, or-ed in place
+    keys |= child
+    keys |= np.arange(s, dtype=np.int64) << 2 * m
+    triples, runs = np.unique(keys, return_counts=True)  # sorted, with run lengths
+    first = np.flatnonzero(np.diff(triples >> m, prepend=-1))  # each (clique, parent)
+    on = triples >> np.arange(m - 1, -1, -1)[:, None]  # (M, U), in place from here
+    on &= 1
+    on *= runs
+    ones = np.add.reduceat(on, first, axis=1).T.copy()  # rows summed in C order
+    return triples[first] >> m, np.add.reduceat(runs, first), ones
 
 
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
@@ -130,7 +139,8 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     default 0.5; everything else is clamped to [eps, 1-eps] so downstream
     logarithms stay finite.
 
-    Counting is ``phase_counts`` of the one clique, scattered into the 2^M
+    The parent and child frames are coded once each (``pattern_codes``),
+    counted by ``pair_counts`` as one clique and scattered into the 2^M
     rows.  The integers are exactly those of the literal floored-average
     match matrix (``match_indicator``, kept as the test reference) and of
     ``counting_oracle``.
@@ -139,7 +149,8 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     M = parent.shape[0]
-    seen, n, ones = phase_counts(parent[..., None], child[..., None])
+    codes = [pattern_codes(frames)[:, None] for frames in (parent, child)]
+    seen, n, ones = pair_counts(*codes, M)
     counts = np.zeros(2**M, dtype=np.int64)
     counts[seen] = n
     raw = np.full((2**M, M), 0.5)

@@ -59,20 +59,22 @@ class ObservationStream:
         return self.values.shape[1]
 
 
-def fold(stream: ObservationStream, period: int) -> np.ndarray:
+def fold(stream: ObservationStream | np.ndarray, period: int) -> np.ndarray:
     """The (M, F, P) frame view of a stream folded at period P.
 
     frames[i, k, t] is sensor i at 0-based slot k*P + t: frame k, phase
     t + 1.  The trailing N mod P slots are dropped, and nothing is copied.
-    P must leave at least two frames.
+    P must leave at least two frames.  Any array with the slots on its last
+    axis folds alike: a stream's per-slot pattern codes fold to (F, P).
     """
-    n = stream.slot_count
+    values = stream.values if isinstance(stream, ObservationStream) else stream
+    n = values.shape[-1]
     if not 1 <= period <= n // 2:
         raise PeriodRangeError(
             f"fold period {period} outside [1, {n // 2}] for {n} slots"
         )
     f = n // period
-    return stream.values[:, : f * period].reshape(stream.sensor_count, f, period)
+    return values[..., : f * period].reshape(*values.shape[:-1], f, period)
 
 
 def frame_pair(

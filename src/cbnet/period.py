@@ -39,7 +39,8 @@ from .cpt import (
     CliqueCPT,
     bbcpt,
     check_sensor_count,
-    phase_counts,
+    pair_counts,
+    pattern_codes,
 )
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import (
@@ -50,10 +51,6 @@ from .errors import (
 )
 from .observations import ObservationStream, fold, frame_pair
 
-#: phase_dependence counts S = max(1, this // (2^M M)) phases at once: the
-#: S 2^M pattern counts of ``phase_counts``, and a child-on table of one
-#: M-wide row per seen (phase, pattern).
-_BLOCK_ELEMENTS = 1 << 16
 _SUPPORT_CHUNK = 1 << 14  #: counts of the null's hypergeometric walk at a time
 
 #: threshold of one phase's excess in null standard deviations.  The G of a
@@ -134,55 +131,42 @@ def lag_dependence(
     return total / (x * m * m)
 
 
-def phase_dependence(parent: np.ndarray, child: np.ndarray):
-    """Within-phase likelihood-ratio statistics of M x K x P frame arrays.
+def phase_dependence(parent: np.ndarray, child: np.ndarray, m: int):
+    """Within-phase likelihood-ratio statistics of (K, P) folded pattern codes.
 
-    For each phase p, G[p] = 2 * sum over children i and parent patterns r
-    of n_r KL(child_i | r  ||  child_i), the G test of the phase's CPT
-    counts against a child that ignores its parents; it is 0 when no
-    pattern changes any child's frequency.  Also returns the degrees of
-    freedom, (seen patterns - 1) per child that takes both values, the
-    largest null mean, ``_NULL_CAP`` per seen pattern and such child, and
-    ``null()``: the exact mean of G over every order in which the parent
-    frames of each phase can be paired with its child frames.  An order
-    keeps each phase's pattern counts n and child-on totals, so the count c
-    of a pattern's frames with child i on is Hypergeom(K, on_i, n), and
-    ``null()`` sums the means of phi(c) + phi(n - c), phi(c) = c ln c, as
-    G is summed.
+    For each phase p of the parent and child codes (``pattern_codes``) of M
+    sensors, G[p] = 2 * sum over children i and parent patterns r of n_r
+    KL(child_i | r  ||  child_i), the G test of the phase's CPT counts
+    against a child that ignores its parents, 0 when no pattern changes any
+    child's frequency.  Also returns the degrees of freedom, (seen patterns
+    - 1) per child that takes both values, the largest null mean,
+    ``_NULL_CAP`` per seen pattern and such child, and ``null()``: the exact
+    mean of G over every order in which the parent frames of each phase can
+    be paired with its child frames.  An order keeps each phase's pattern
+    counts n and child-on totals, so the count c of a pattern's frames with
+    child i on is Hypergeom(K, on_i, n), and ``null()`` sums the means of
+    phi(c) + phi(n - c), phi(c) = c ln c.
     """
-    m, k, x = parent.shape
+    seen, n, ones = pair_counts(parent, child, m)
+    k, x = parent.shape
     phi = np.zeros(k + 1)  # n ln n at the integer count n, 0 at n = 0
     phi[1:] = np.arange(1, k + 1) * np.log(np.arange(1, k + 1))
-
-    block = max(1, _BLOCK_ELEMENTS // (2**m * m))
-    g, cap, df = np.empty(x), np.empty(x), np.empty(x, dtype=np.int64)
-    blocks = []
-    for lo in range(0, x, block):
-        phases = slice(lo, lo + block)
-        seen, n, ones = phase_counts(parent[:, :, phases], child[:, :, phases])
-        # seen is in key order: each phase's patterns are one run from ``starts``
-        starts = np.searchsorted(seen >> m, np.arange(min(block, x - lo)))
-        on = np.add.reduceat(ones, starts)  # the phase's child-on totals
-        fixed = m * np.add.reduceat(phi[n], starts) - m * phi[k]
-        fixed += (phi[on] + phi[k - on]).sum(axis=-1)
-        terms = (phi[ones] + phi[n[:, None] - ones]).sum(axis=-1)
-        g[phases] = 2.0 * (np.add.reduceat(terms, starts) - fixed)
-        rows = np.diff(starts, append=seen.size)  # seen patterns per phase
-        blocks.append((phases, n, np.repeat(on, rows, axis=0), starts, fixed))
-        live = ((on > 0) & (on < k)).sum(axis=-1)
-        df[phases] = (rows - 1) * live
-        cap[phases] = _NULL_CAP * rows * live
+    starts = np.searchsorted(seen >> m, np.arange(x))  # each phase's run in seen
+    on = np.add.reduceat(ones, starts)  # the phase's child-on totals
+    fixed = m * np.add.reduceat(phi[n], starts) - m * phi[k]
+    fixed += (phi[on] + phi[k - on]).sum(axis=-1)
+    terms = (phi[ones] + phi[n[:, None] - ones]).sum(axis=-1)
+    g = 2.0 * (np.add.reduceat(terms, starts) - fixed)
+    rows = np.diff(starts, append=seen.size)  # seen patterns per phase
+    live = ((on > 0) & (on < k)).sum(axis=-1)
 
     def null() -> np.ndarray:
         log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, k + 1)))))
-        out = np.empty(x)
-        for phases, n, on, starts, fixed in blocks:
-            n = np.broadcast_to(n[:, None], on.shape).ravel()  # one item per row, child
-            mean = _mean_phi(n, on.ravel(), k, phi, log_fact).reshape(on.shape)
-            out[phases] = 2.0 * (np.add.reduceat(mean.sum(axis=-1), starts) - fixed)
-        return out
+        on_rows = np.repeat(on, rows, axis=0).ravel()  # an item per row and child
+        mean = _mean_phi(np.repeat(n, m), on_rows, k, phi, log_fact).reshape(-1, m)
+        return 2.0 * (np.add.reduceat(mean.sum(axis=-1), starts) - fixed)
 
-    return g, df, cap, null
+    return g, (rows - 1) * live, _NULL_CAP * rows * live, null
 
 
 def _mean_phi(n, on, k, phi, log_fact) -> np.ndarray:
@@ -256,12 +240,14 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
         raise InsufficientDataError(
             f"stream of {stream.slot_count} slots is too short for a period search"
         )
+    m = stream.sensor_count
+    codes = pattern_codes(stream.values)  # each slot's pattern, folded per lag
     tested: dict[int, tuple] = {}
 
     def at_null(x: int, average: bool) -> bool:
         if x not in tested:
-            frames = fold(stream, x)
-            g, df, cap, null = phase_dependence(frames[:, :-1], frames[:, 1:])
+            folded = fold(codes, x)
+            g, df, cap, null = phase_dependence(folded[:-1], folded[1:], m)
             sd = np.sqrt(2.0 * np.maximum(df, 1))
             tested[x] = g, sd, (cap if _rejects(g, cap, sd, average) else null())
         g, sd, mean = tested[x]

@@ -1,5 +1,7 @@
 """Closed-form CPT estimation vs the counting oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from cbnet import (
     condition_matrix,
     counting_oracle,
 )
-from cbnet.cpt import M_MAX, UNDEFINED, _check_pair, match_indicator, phase_counts
+from cbnet.cpt import (
+    M_MAX,
+    UNDEFINED,
+    _check_pair,
+    match_indicator,
+    pair_counts,
+    pattern_codes,
+)
 
 
 def random_pair(M, K, seed, p=0.5, q=0.5):
@@ -21,6 +30,19 @@ def random_pair(M, K, seed, p=0.5, q=0.5):
     parent = (rng.random((M, K)) < p).astype(np.int8)
     child = (rng.random((M, K)) < q).astype(np.int8)
     return parent, child
+
+
+def assert_pair_counts_match_oracle(parent, child):
+    """``pair_counts`` of M x K x S frames, clique by clique, against the oracle."""
+    M = parent.shape[0]
+    keys, n, ones = pair_counts(pattern_codes(parent), pattern_codes(child), M)
+    assert (np.diff(keys) > 0).all()  # (clique, pattern) order
+    for s in range(parent.shape[2]):
+        B, counts = counting_oracle(parent[:, :, s], child[:, :, s])
+        run = keys >> M == s
+        assert np.array_equal(keys[run] % 2**M, np.flatnonzero(counts))
+        assert np.array_equal(n[run], counts[counts > 0])
+        assert np.array_equal(ones[run] / n[run, None], B[counts > 0])
 
 
 class TestConditionMatrix:
@@ -92,7 +114,7 @@ class TestBbcpt:
             bbcpt(frames, frames)
 
     def test_indexed_method_bit_identical(self):
-        # the histogram kernel against the literal floored-average closed form
+        # the sorted-key count against the literal floored-average closed form
         eps = 1e-3
         for seed in range(20):
             M = seed % 6 + 1
@@ -174,14 +196,47 @@ class TestCountingOracle:
         assert np.array_equal(cpt.counts, counts)
         seen = counts > 0
         assert np.array_equal(cpt.B_raw[seen], B[seen])
-        # phase_counts counts every clique at once, in (clique, pattern) order
-        keys, n, ones = phase_counts(parent, child)
-        for s in range(S):
-            B, counts = counting_oracle(parent[:, :, s], child[:, :, s])
-            run = keys >> M == s
-            assert np.array_equal(keys[run] % 2**M, np.flatnonzero(counts))
-            assert np.array_equal(n[run], counts[counts > 0])
-            assert np.array_equal(ones[run] / n[run, None], B[counts > 0])
+        # pair_counts counts every clique at once
+        assert_pair_counts_match_oracle(parent, child)
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize(
+        "M, K, S", [(1, 7, 300), (3, 7, 300), (6, 7, 300), (4, 1, 50)]
+    )
+    def test_many_phases(self, M, K, S):
+        # up to 300 phases, of 7 frame pairs or of one
+        parent, child = random_pair(M, K * S, M + K, p=0.3, q=0.6)
+        assert_pair_counts_match_oracle(parent.reshape(M, K, S), child.reshape(M, K, S))
+
+    def test_constant_child_rows(self):
+        parent, child = random_pair(5, 40 * 6, 11)
+        child[1], child[3] = 0, 1
+        parent, child = parent.reshape(5, 40, 6), child.reshape(5, 40, 6)
+        assert_pair_counts_match_oracle(parent, child)
+        _, n, ones = pair_counts(pattern_codes(parent), pattern_codes(child), 5)
+        assert (ones[:, 1] == 0).all() and (ones[:, 3] == n).all()
+
+    def test_63_bit_keys_fit(self):
+        # two cliques of 31 sensors fill 63 bits
+        codes = np.zeros((1, 2), dtype=np.int64)
+        seen, n, ones = pair_counts(codes, codes, 31)
+        assert seen.tolist() == [0, 1 << 31] and n.tolist() == [1, 1]
+        assert ones.shape == (2, 31) and not ones.any()
+
+    @pytest.mark.parametrize("M, cliques", [(20, 2**23 + 1), (4, 2**55 + 1)])
+    def test_key_wider_than_63_bits(self, M, cliques):
+        # 2M bits of parent and child code below the clique's bits: one
+        # clique more than fits is refused before anything is allocated
+        codes = np.broadcast_to(np.int64(0), (1, cliques))  # zero-stride, no data
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                pair_counts(codes, codes, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 class TestPermutationEquivariance:

@@ -30,9 +30,8 @@ from cbnet import (
     paper_period,
     resolve_period,
 )
-from cbnet.cpt import M_MAX
+from cbnet.cpt import M_MAX, pattern_codes
 from cbnet.period import (
-    _BLOCK_ELEMENTS,
     _average_point,
     _rejects,
     find_null_period,
@@ -443,6 +442,11 @@ def exact_null_g(parent, child, dtype=np.float64):
     return out
 
 
+def frame_dependence(parent, child):
+    """``phase_dependence`` of M x K x P parent and child frames."""
+    return phase_dependence(pattern_codes(parent), pattern_codes(child), len(parent))
+
+
 def random_fold(rng, m, k, x):
     """An M x (K + 1) x P fold of biased random bits, as (parent, child)."""
     frames = (rng.random((m, k + 1, x)) < rng.uniform(0.1, 0.9, (m, 1, 1)))
@@ -454,15 +458,13 @@ def random_fold(rng, m, k, x):
 def random_folds(draw):
     """(parent, child) of a random fold.
 
-    M runs 1..10; at M >= 9 the phases outnumber one block of
-    ``phase_dependence``, so they are counted in several.  Each sensor's
-    rate of 1s is drawn per phase, so a child may be mostly on in some
-    phases and mostly off in others.  Frames are int8, bool or int64, and
-    a child row may be all 0 or all 1.
+    M runs 1..10 and P 1..16.  Each sensor's rate of 1s is drawn per
+    phase, so a child may be mostly on in some phases and mostly off in
+    others.  Frames are int8, bool or int64, and a child row may be all 0
+    or all 1.
     """
     m = draw(st.integers(1, 10))
-    block = max(1, _BLOCK_ELEMENTS // (2**m * m))
-    x = draw(st.integers(block + 1, 3 * block) if m >= 9 else st.integers(1, 5))
+    x = draw(st.integers(1, 16))
     k = draw(st.integers(1, 60))
     dtype = draw(st.sampled_from([np.int8, np.bool_, np.int64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -483,9 +485,9 @@ def record_nulls(monkeypatch) -> tuple[list, list]:
     counted, nulls = [], []
     evaluate = period.phase_dependence
 
-    def recorded(parent, child):
-        g, df, cap, null = evaluate(parent, child)
-        x = parent.shape[2]
+    def recorded(parent, child, m):
+        g, df, cap, null = evaluate(parent, child, m)
+        x = parent.shape[1]
         counted.append((x, g, df, cap))
 
         def called():
@@ -507,20 +509,31 @@ class TestPhaseDependence:
                 values = s.values
                 f = s.slot_count // x
                 frames = values[:, : f * x].reshape(M, f, x)
-                g, df, cap, _ = phase_dependence(frames[:, :-1], frames[:, 1:])
+                g, df, cap, _ = frame_dependence(frames[:, :-1], frames[:, 1:])
                 want_g, want_df, want_cap = oracle_phase_g(s, x)
                 np.testing.assert_allclose(g, want_g, rtol=1e-9, atol=1e-9)
                 assert df.tolist() == want_df.tolist()
                 np.testing.assert_allclose(cap, want_cap, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.int64])
+    def test_frame_dtypes_count_alike(self, dtype):
+        # 0/1 frames of a float, bool or int64 dtype count as their int8 copy
+        frames = fold(planted_stream(5, 200, M=3, seed=6), 5)
+        want = frame_dependence(frames[:, :-1], frames[:, 1:])
+        frames = frames.astype(dtype)
+        got = frame_dependence(frames[:, :-1], frames[:, 1:])
+        for a, b in zip(want[:3], got[:3]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got[3](), want[3]())
 
     def test_orders_shuffle_the_parent_frames(self):
         s = planted_stream(6, 300, M=3, seed=5)
         frames = s.values[:, :1500].reshape(3, 300, 5)  # lag 5, off the period
         parent, child = frames[:, :-1], frames[:, 1:]
         order = np.random.default_rng(0).permutation(parent.shape[1])
-        g, _, _, null = phase_dependence(parent, child)
+        g, _, _, null = frame_dependence(parent, child)
         # an order keeps the counts the null mean is taken from
-        reordered = phase_dependence(parent[:, order], child)[3]
+        reordered = frame_dependence(parent[:, order], child)[3]
         np.testing.assert_allclose(reordered(), null(), rtol=1e-12)
         # the pairing carries the lag-5 dependence; shuffling destroys it
         assert null().sum() < 0.1 * g.sum()
@@ -541,12 +554,35 @@ class TestPhaseDependence:
             "2776d89dff839393cc4c10a6859c2cfdf4d3c925da2d154ee1aa0eba36513523"
         )
 
+    def test_wide_search_rows_pinned(self, monkeypatch):
+        # SHA-256 of every (G, df, cap) row and every null row of the search
+        # on a 10-sensor stream, in call order: 2 to 36 phases of 332 to
+        # 5,999 frame pairs each, every lag's phases counted at once
+        counted, nulls = record_nulls(monkeypatch)
+        assert find_null_period(planted_stream(12, 1000, M=10, seed=0)) == (12, 12)
+        assert [x for x, *_ in counted] == [*range(2, 13), 24, 36]
+        assert [x for x, _ in nulls] == [12, 24, 36]
+        h = hashlib.sha256()
+        for _, g, df, cap in counted:
+            for row in (g, cap):
+                h.update(np.ascontiguousarray(row, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(df, dtype="<i8").tobytes())
+        assert h.hexdigest() == (
+            "c07edafa40838e487ac9176e1d113b096e789d48bfd54b3436729d2638a4fa88"
+        )
+        h = hashlib.sha256()
+        for _, row in nulls:
+            h.update(np.ascontiguousarray(row, dtype="<f8").tobytes())
+        assert h.hexdigest() == (
+            "a9489f81e31e2e3ddb0686688e2d4328bc0e8b14b2089960984cab7ee2f8455e"
+        )
+
     def test_constant_children_have_no_dependence(self):
         # every child is constant within its phase: G is 0 and there are no
         # degrees of freedom
         s = stream_of(np.vstack([np.tile([0, 1], 50), np.ones(100, dtype=np.int8)]))
         frames = s.values.reshape(2, 50, 2)
-        g, df, _, null = phase_dependence(frames[:, :-1], frames[:, 1:])
+        g, df, _, null = frame_dependence(frames[:, :-1], frames[:, 1:])
         np.testing.assert_allclose(g, 0.0, atol=1e-9)
         np.testing.assert_allclose(null(), 0.0, atol=1e-9)
         assert df.tolist() == [0, 0]
@@ -557,16 +593,16 @@ class TestPhaseDependence:
             m, k, x = (int(v) for v in rng.integers((1, 2, 1), (4, 7, 4)))
             parent, child = random_fold(rng, m, k, x)
             every = itertools.permutations(range(k))
-            g = [phase_dependence(parent[:, list(o)], child)[0] for o in every]
+            g = [frame_dependence(parent[:, list(o)], child)[0] for o in every]
             mean = np.mean(g, axis=0)
-            null = phase_dependence(parent, child)[3]()
+            null = frame_dependence(parent, child)[3]()
             np.testing.assert_allclose(null, mean, rtol=0, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(fold=random_folds())
     def test_null_matches_the_exact_reference(self, fold):
         parent, child = fold
-        null = phase_dependence(parent, child)[3]()
+        null = frame_dependence(parent, child)[3]()
         np.testing.assert_allclose(null, exact_null_g(parent, child), rtol=0, atol=1e-10)
 
     @pytest.mark.skipif(
@@ -582,7 +618,7 @@ class TestPhaseDependence:
         for x in (2, 10):
             frames = fold(s, x)
             parent, child = frames[:, :-1], frames[:, 1:]
-            null = phase_dependence(parent, child)[3]()
+            null = frame_dependence(parent, child)[3]()
             want = exact_null_g(parent, child, dtype=np.longdouble)
             np.testing.assert_allclose(null, want.astype(np.float64), rtol=1e-8, atol=0)
 
@@ -597,7 +633,7 @@ class TestPhaseDependence:
         # the premise of the cap shortcut: a lag whose excess over the cap
         # rejects the null would reject the null mean as well
         parent, child = random_fold(np.random.default_rng(seed), m, k, x)
-        _, _, cap, _ = phase_dependence(parent, child)
+        _, _, cap, _ = frame_dependence(parent, child)
         assert (exact_null_g(parent, child) <= cap + 1e-9).all()
 
     @settings(max_examples=100, deadline=None)
@@ -606,7 +642,7 @@ class TestPhaseDependence:
         # the cap shortcut is sound: whatever G is, both tests reject the
         # null mean wherever they reject the cap
         parent, child = fold
-        g, df, cap, null = phase_dependence(parent, child)
+        g, df, cap, null = frame_dependence(parent, child)
         sd = np.sqrt(2.0 * np.maximum(df, 1))
         mean = null()
         for scale in np.linspace(0.0, 3.0, 61):
@@ -657,24 +693,32 @@ class TestFindNullPeriod:
                 find_null_period(stream_of([[0, 1, 1, 0, 1][:n]]))
         assert find_null_period(stream_of([[0, 1, 1, 0, 1, 1]]))[1] >= 2
 
-    def test_each_lag_folded_once(self, monkeypatch):
+    def test_each_lag_counted_once(self, monkeypatch):
         import cbnet.period as period
 
-        folded = []
-        fold_stream = period.fold
+        coded, folded = [], []
+        code, fold_codes = period.pattern_codes, period.fold
 
-        def counted_fold(stream, x):
+        def counted_code(values):
+            coded.append(values.shape)
+            return code(values)
+
+        def counted_fold(codes, x):
             folded.append(x)
-            return fold_stream(stream, x)
+            return fold_codes(codes, x)
 
+        monkeypatch.setattr(period, "pattern_codes", counted_code)
         monkeypatch.setattr(period, "fold", counted_fold)
         counted, nulls = record_nulls(monkeypatch)
         s = planted_stream(6, 1500, seed=4)
         found = find_null_period(s)[1]
         assert found == 6
-        assert len(folded) == len(set(folded)) == len(counted)
+        # the stream is coded once, and each lag folded and counted once
+        assert coded == [s.values.shape]
+        lags = [x for x, *_ in counted]
+        assert folded == lags and len(lags) == len(set(lags))
         nulled = [x for x, _ in nulls]
-        assert len(nulled) == len(set(nulled)) and set(nulled) <= set(folded)
+        assert len(nulled) == len(set(nulled)) and set(nulled) <= set(lags)
         # the null mean is taken exactly where the cap does not reject: the
         # candidates 2..6 are tested with the phase average, 12 and 18 not
         for x, g, df, cap in counted:
