@@ -42,8 +42,6 @@ from .errors import (
 from .observations import ObservationStream, fold, frame_pair
 from .period import (
     CbnModel,
-    LearnConfig,
-    PeriodEstimate,
     dft_magnitude,
     find_tp,
     find_ts,
@@ -67,11 +65,9 @@ __all__ = [
     "DimensionError",
     "EmptyInputError",
     "InsufficientDataError",
-    "LearnConfig",
     "NoPeakError",
     "NoValleyError",
     "ObservationStream",
-    "PeriodEstimate",
     "PeriodRangeError",
     "PhaseRangeError",
     "SessionBoundsError",

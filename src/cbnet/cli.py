@@ -33,7 +33,7 @@ from .baseline import conventional_learn
 from .cpt import DEFAULT_EPS, M_MAX, CliqueCPT, bbcpt
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import CbnetError
-from .period import CbnModel, LearnConfig, learn_cbn
+from .period import CbnModel, learn_cbn
 from .simulator import KMH_TO_MS, Simulation, SimulationConfig
 from .stream_csv import read_stream_csv, write_stream_csv
 
@@ -90,18 +90,17 @@ def _csv_rows(rows: np.ndarray) -> list[str]:
 
 
 def model_to_dict(model: CbnModel) -> dict:
-    """The model document; ``cpts`` and ``deps`` hold each clique's array."""
-    est = model.estimate
+    """The model document: each clique's arrays, and a copy of the provenance."""
     return {
         "format": MODEL_FORMAT,
         "M": model.M,
         "T": model.period,
-        "ts_star": est.ts_star if est else None,
-        "tp": est.tp if est else None,
+        "ts_star": model.ts_star,
+        "tp": None if model.ts_star is None else model.period,
         "epsilon": model.provenance.get("epsilon", DEFAULT_EPS),
         "cpts": [cpt.B for cpt in model.cpts],
         "deps": [dep.D for dep in model.deps],
-        "provenance": model.provenance,
+        "provenance": dict(model.provenance),
     }
 
 
@@ -193,10 +192,12 @@ def _model_tables(doc: dict, key: str, count: int, shape: tuple) -> list:
 def model_from_dict(doc: dict) -> CbnModel:
     """The model of a parsed model file; its fields are checked first.
 
-    M must be an integer in [1, M_MAX] and T one >= 1; cpts must be
-    (T-1) x 2^M x M with every entry in (0, 1), and deps (T-1) x M x M
-    with every entry finite and >= 0.  Anything else is a ValueError that
-    names the field, or the type of a document that is not a JSON object.
+    M must be an integer in [1, M_MAX] and T one >= 1; ts_star None or an
+    integer in [1, T], and tp None when ts_star is and T otherwise (a file
+    without them reads as None); cpts must be (T-1) x 2^M x M with every
+    entry in (0, 1), and deps (T-1) x M x M with every entry finite and
+    >= 0.  Anything else is a ValueError that names the field, or the type
+    of a document that is not a JSON object.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model file holds {type(doc).__name__!r}, not a JSON object")
@@ -213,6 +214,14 @@ def model_from_dict(doc: dict) -> CbnModel:
         raise ValueError(f"model field 'M' is {m!r}, not an integer in [1, {M_MAX}]")
     if type(period) is not int or period < 1:
         raise ValueError(f"model field 'T' is {period!r}, not an integer >= 1")
+    ts_star, tp = doc.get("ts_star"), doc.get("tp")
+    if ts_star is not None and (type(ts_star) is not int or not 1 <= ts_star <= period):
+        raise ValueError(
+            f"model field 'ts_star' is {ts_star!r}, not null or an integer in [1, {period}]"
+        )
+    want = None if ts_star is None else period
+    if type(tp) is not type(want) or tp != want:
+        raise ValueError(f"model field 'tp' is {tp!r}, not {json.dumps(want)}")
     # min and max are NaN if any entry is, and then fail both tests
     cpts = _model_tables(doc, "cpts", period - 1, (2**m, m))
     if not all(B.min() > 0 and B.max() < 1 for B in cpts):
@@ -227,7 +236,7 @@ def model_from_dict(doc: dict) -> CbnModel:
             CliqueCPT(M=m, B=B, counts=np.zeros(2**m, dtype=np.int64)) for B in cpts
         ),
         deps=tuple(DependenceMatrix(M=m, D=D) for D in deps),
-        estimate=None,
+        ts_star=ts_star,
         provenance=doc.get("provenance", {}),
     )
 
@@ -276,8 +285,7 @@ def cmd_learn(args) -> int:
             f"below {EPS_MIN:g}"
         )
     stream = read_stream_csv(Path(args.input))
-    config = LearnConfig(period=args.period, epsilon=args.epsilon)
-    model = learn_cbn(stream, config)
+    model = learn_cbn(stream, period=args.period, epsilon=args.epsilon)
     doc = model_to_dict(model)
     doc["provenance"]["input"] = str(args.input)
     write_model_json(doc, args.output)

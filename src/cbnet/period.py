@@ -22,7 +22,7 @@ averaged CPbD profile reaches its first local minimum gives an empirical
 decorrelation interval (ts_star), and the first non-DC peak of the DFT
 magnitude of the profile gives the fundamental period of its oscillation
 (tp).  The period is the smallest multiple of tp reaching ts_star - 1.
-Pass it to ``LearnConfig(period=...)`` to learn a model at that period.
+Pass it to ``learn_cbn(stream, period=...)`` to learn a model at that period.
 """
 
 from __future__ import annotations
@@ -66,35 +66,19 @@ _NULL_CAP = 2.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
-class PeriodEstimate:
-    """How ``find_null_period`` settled on the period.
-
-    ts_star is the first lag at the null and tp the first one confirmed at
-    its multiples, which is the learned period; ts_star < tp means that an
-    earlier lag repeated every phase but failed at a multiple.
-    """
-
-    ts_star: int
-    tp: int
-
-
-@dataclass(frozen=True)
-class LearnConfig:
-    """Knobs for learn_cbn; a non-None period skips estimation entirely."""
-
-    period: int | None = None
-    epsilon: float = DEFAULT_EPS
-
-
-@dataclass(frozen=True)
 class CbnModel:
-    """Learned periodic network: per-clique CPTs and normalized dependences."""
+    """Learned periodic network: per-clique CPTs and normalized dependences.
+
+    ts_star is the first lag ``find_null_period`` found at the null, or None
+    when the period was given; ts_star < period means that an earlier lag
+    repeated every phase but failed at a multiple.
+    """
 
     M: int
     period: int
     cpts: tuple[CliqueCPT, ...]
     deps: tuple[DependenceMatrix, ...]
-    estimate: PeriodEstimate | None
+    ts_star: int | None
     provenance: dict
 
 
@@ -227,12 +211,9 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     leave every phase at least two frame pairs (x <= N/3) are tested,
     candidates and multiples alike; a stream of fewer than 6 slots has none.
 
-    Each lag is folded and counted once, at its first test, which takes the
-    exact null mean too unless the cap already rejects; only (G, sd, null)
-    is kept, with the cap for the null where it rejected.  Both tests
-    reject any null mean below a mean they reject, and a lag is tested as
-    a multiple (per phase only) only before its own turn as a candidate,
-    so a cap that rejects its first test rejects every later one.
+    Each test folds and counts its lag, and takes the exact null mean only
+    where the cap does not already reject: the cap bounds the null mean,
+    and both tests reject any null mean below a mean they reject.
     """
     # a lag is testable while every phase keeps at least two frame pairs
     max_lag = stream.slot_count // 3
@@ -242,16 +223,12 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
         )
     m = stream.sensor_count
     codes = pattern_codes(stream.values)  # each slot's pattern, folded per lag
-    tested: dict[int, tuple] = {}
 
     def at_null(x: int, average: bool) -> bool:
-        if x not in tested:
-            folded = fold(codes, x)
-            g, df, cap, null = phase_dependence(folded[:-1], folded[1:], m)
-            sd = np.sqrt(2.0 * np.maximum(df, 1))
-            tested[x] = g, sd, (cap if _rejects(g, cap, sd, average) else null())
-        g, sd, mean = tested[x]
-        return not _rejects(g, mean, sd, average)
+        folded = fold(codes, x)
+        g, df, cap, null = phase_dependence(folded[:-1], folded[1:], m)
+        sd = np.sqrt(2.0 * np.maximum(df, 1))
+        return not (_rejects(g, cap, sd, average) or _rejects(g, null(), sd, average))
 
     first = None
     for x in range(2, max_lag + 1):
@@ -366,27 +343,29 @@ def paper_period(stream: ObservationStream, eps: float = DEFAULT_EPS) -> int:
     return resolve_period(ts_star, find_tp(joint, max_lag, ts_star))
 
 
-def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> CbnModel:
+def learn_cbn(
+    stream: ObservationStream, period: int | None = None, epsilon: float = DEFAULT_EPS
+) -> CbnModel:
     """Learn period, CPTs, and normalized dependence matrices from a stream.
 
-    Without a period override the period is searched blind by
-    ``find_null_period``.  The model then holds one CPT and one normalized
-    dependence matrix per clique t -> t+1, t = 1..T-1.
+    Without a period the period is searched blind by ``find_null_period``.
+    The model then holds one CPT and one normalized dependence matrix per
+    clique t -> t+1, t = 1..T-1.
     """
-    if config is None:
-        config = LearnConfig()
-    eps = config.epsilon
     m = stream.sensor_count
     check_sensor_count(m)
-    estimate = None
+    provenance = {
+        "slot_count": stream.slot_count,
+        "sensor_labels": list(stream.sensor_labels),
+        "epsilon": epsilon,
+        "period_override": period,
+    }
+    ts_star = None
+    if period is None:
+        ts_star, period = find_null_period(stream)
+    period = int(period)
 
-    if config.period is not None:
-        period = int(config.period)
-    else:
-        first, period = find_null_period(stream)
-        estimate = PeriodEstimate(ts_star=first, tp=period)
-
-    # fold range-checks the period, override or not, before the warning
+    # fold range-checks the period, given or not, before the warning
     frames = fold(stream, period)
     if stream.slot_count < 4 * period:
         warnings.warn(
@@ -399,21 +378,15 @@ def learn_cbn(stream: ObservationStream, config: LearnConfig | None = None) -> C
     deps = []
     for t in range(1, period):
         parent, child = frame_pair(frames, t, circular=False)
-        cpt = bbcpt(parent, child, eps=eps)
+        cpt = bbcpt(parent, child, eps=epsilon)
         cpts.append(cpt)
         deps.append(normalize(cpbd_clique(cpt)))
 
-    provenance = {
-        "slot_count": stream.slot_count,
-        "sensor_labels": list(stream.sensor_labels),
-        "epsilon": eps,
-        "period_override": config.period,
-    }
     return CbnModel(
         M=m,
         period=period,
         cpts=tuple(cpts),
         deps=tuple(deps),
-        estimate=estimate,
+        ts_star=ts_star,
         provenance=provenance,
     )

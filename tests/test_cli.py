@@ -19,7 +19,6 @@ from cbnet import (
     CbnModel,
     CliqueCPT,
     DependenceMatrix,
-    LearnConfig,
     ObservationStream,
     learn_cbn,
 )
@@ -380,6 +379,9 @@ class TestExportCommand:
     @pytest.mark.parametrize("fields, edges", [
         ({}, 8),
         ({"T": 1, "cpts": [], "deps": []}, 0),  # one phase, no clique
+        ({"ts_star": None, "tp": None}, 8),  # learned at a given period
+        ({"ts_star": 1, "tp": 3}, 8),  # found by the search
+        ({"ts_star": 3, "tp": 3}, 8),
     ])
     def test_well_formed_model_exported(self, tmp_path, fields, edges):
         path = tmp_path / "model.json"
@@ -387,6 +389,26 @@ class TestExportCommand:
         dot = tmp_path / "g.dot"
         assert run_cli("export", "--model", path, "--dot", dot) == 0
         assert dot.read_text().count(" -> ") == edges
+
+    @pytest.mark.parametrize("fields, field", [
+        ({"ts_star": 0, "tp": 3}, "ts_star"),
+        ({"ts_star": 4, "tp": 3}, "ts_star"),  # above T
+        ({"ts_star": 2.0, "tp": 3}, "ts_star"),
+        ({"ts_star": True, "tp": 3}, "ts_star"),
+        ({"ts_star": "2", "tp": 3}, "ts_star"),
+        ({"ts_star": 2}, "tp"),  # a search without its confirmed lag
+        ({"ts_star": 2, "tp": 2}, "tp"),  # a confirmed lag other than T
+        ({"ts_star": 2, "tp": 3.0}, "tp"),
+        ({"tp": 3}, "tp"),  # a confirmed lag without a search
+        ({"ts_star": None, "tp": False}, "tp"),
+    ])
+    def test_malformed_search_fields_rejected(self, tmp_path, capsys, fields, field):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(self.small_model(**fields)))
+        dot = tmp_path / "g.dot"
+        assert run_cli("export", "--model", path, "--dot", dot) == 2
+        assert not dot.exists()
+        assert f"model field '{field}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, kind", [
         ("5", "int"),
@@ -526,7 +548,7 @@ def reference_model_json(doc: dict) -> str:
 def learned_model(m: int, period: int, slots: int = 240):
     rng = np.random.default_rng(m * 100 + period)
     stream = ObservationStream((rng.random((m, slots)) < 0.4).astype(np.int8))
-    return learn_cbn(stream, LearnConfig(period=period))
+    return learn_cbn(stream, period=period)
 
 
 #: entries that must survive the row grouping: the clamps, a signed zero,
@@ -571,7 +593,8 @@ tables = st.integers(1, 5).flatmap(lambda width: st.builds(
 
 @st.composite
 def models(draw):
-    """Models of M <= 4 and T <= 4, B in (EPS_MIN, 1 - EPS_MIN), finite D >= 0."""
+    """Models of M <= 4 and T <= 4, B in (EPS_MIN, 1 - EPS_MIN), finite D >= 0,
+    learned at a given period or by a search that found ts_star <= T."""
     m, period = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     probs = st.floats(EPS_MIN, 1 - EPS_MIN, exclude_min=True, exclude_max=True)
     cpts = draw(arrays(np.float64, (period - 1, 2**m, m), elements=probs))
@@ -583,7 +606,7 @@ def models(draw):
         period=period,
         cpts=tuple(CliqueCPT(M=m, B=B, counts=counts) for B in cpts),
         deps=tuple(DependenceMatrix(M=m, D=D) for D in deps),
-        estimate=None,
+        ts_star=draw(st.none() | st.integers(1, period)),
         provenance={},
     )
 
@@ -603,7 +626,8 @@ class TestModelJson:
             write_model_json(model_to_dict(model), first)
             with open(first) as fh:
                 back = model_from_dict(json.load(fh))
-            assert (back.M, back.period) == (model.M, model.period)
+            assert (back.M, back.period, back.ts_star) == (
+                model.M, model.period, model.ts_star)
             for a, b in zip(back.cpts, model.cpts, strict=True):
                 assert np.array_equal(a.B, at_precision(b.B))
             for a, b in zip(back.deps, model.deps, strict=True):
@@ -615,7 +639,7 @@ class TestModelJson:
     def test_round_trip_at_precision(self, tmp_path):
         rng = np.random.default_rng(0)
         stream = ObservationStream((rng.random((2, 1000)) < 0.4).astype(np.int8))
-        model = learn_cbn(stream, LearnConfig(period=5))
+        model = learn_cbn(stream, period=5)
         path = tmp_path / "model.json"
         write_model_json(model_to_dict(model), path)
         with open(path) as fh:
@@ -625,6 +649,14 @@ class TestModelJson:
             np.testing.assert_allclose(a.B, b.B, rtol=1e-11)
         for a, b in zip(back.deps, model.deps):
             np.testing.assert_allclose(a.D, b.D, rtol=1e-11)
+
+    def test_document_leaves_model_provenance_unchanged(self):
+        # cmd_learn adds the input path to the document's provenance
+        model = learned_model(2, 3)
+        before = dict(model.provenance)
+        doc = model_to_dict(model)
+        doc["provenance"]["input"] = "obs.csv"
+        assert model.provenance == before and "input" not in model.provenance
 
     @pytest.mark.parametrize("m", [1, 3, 8, 12])
     @pytest.mark.parametrize("period", [1, 2, 12])
@@ -660,7 +692,7 @@ def outcome(read, path):
     except ValueError as exc:
         return type(exc), str(exc)
     tables = [cpt.B for cpt in model.cpts] + [dep.D for dep in model.deps]
-    return (model.M, model.period, model.provenance,
+    return (model.M, model.period, model.ts_star, model.provenance,
             [(t.dtype.str, t.shape, t.tobytes()) for t in tables])
 
 

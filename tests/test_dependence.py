@@ -122,7 +122,7 @@ class TestCpbdClique:
         dep = normalize(cpbd_clique(cpt))
         assert dep.degenerate == ()
         model = CbnModel(M=2, period=2, cpts=(cpt,), deps=(dep,),
-                         estimate=None, provenance={})
+                         ts_star=None, provenance={})
         edges = {line.split(" [")[0].strip()
                  for line in export_dot(model, threshold=1e-9).splitlines()
                  if " -> " in line}

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from cbnet import (
     DimensionError,
     EmptyInputError,
     InsufficientDataError,
-    LearnConfig,
     NoPeakError,
     NoValleyError,
     ObservationStream,
-    PeriodEstimate,
     PeriodRangeError,
     dft_magnitude,
     find_tp,
@@ -303,7 +302,7 @@ class TestLearnCbn:
     def test_override_structure(self):
         rng = np.random.default_rng(0)
         s = stream_of((rng.random((3, 2000)) < 0.3).astype(np.int8))
-        model = learn_cbn(s, LearnConfig(period=8))
+        model = learn_cbn(s, period=8)
         assert model.period == 8
         assert len(model.cpts) == len(model.deps) == 7
         for dep in model.deps:
@@ -312,7 +311,7 @@ class TestLearnCbn:
     def test_override_out_of_range(self):
         s = stream_of([[0, 1] * 10])
         with pytest.raises(PeriodRangeError):
-            learn_cbn(s, LearnConfig(period=11))
+            learn_cbn(s, period=11)
 
     def test_too_many_sensors(self):
         # rejected up front, before any per-sensor scan or period fold
@@ -320,7 +319,7 @@ class TestLearnCbn:
         with pytest.raises(DimensionError):
             learn_cbn(s)
         with pytest.raises(DimensionError):
-            learn_cbn(s, LearnConfig(period=2))
+            learn_cbn(s, period=2)
 
     def test_paper_scenario_fast_region(self):
         # single seeded run of the road simulator in the fast-speed region;
@@ -345,7 +344,7 @@ class TestLearnCbn:
         max_lag = s.slot_count // 2
         ts_star = find_ts(lambda x: lag_dependence(s, x), max_lag)
         tp = find_tp(lambda x: lag_dependence(s, x), max_lag, ts_star)
-        reference = learn_cbn(s, LearnConfig(period=resolve_period(ts_star, tp)))
+        reference = learn_cbn(s, period=resolve_period(ts_star, tp))
 
         keys = []
         evaluate = period.lag_dependence
@@ -355,7 +354,7 @@ class TestLearnCbn:
             return evaluate(stream, x, sensors=sensors, eps=eps)
 
         monkeypatch.setattr(period, "lag_dependence", counted)
-        model = learn_cbn(s, LearnConfig(period=paper_period(s)))
+        model = learn_cbn(s, period=paper_period(s))
         assert keys and len(keys) == len(set(keys))
         assert {k for k in keys if k[0] is None} >= {(None, x) for x in range(2, 5)}
         assert model.period == reference.period
@@ -368,7 +367,7 @@ class TestLearnCbn:
     def test_short_stream_warns(self):
         s = stream_of([[0, 1] * 8])
         with pytest.warns(UserWarning):
-            learn_cbn(s, LearnConfig(period=8))
+            learn_cbn(s, period=8)
 
 
 # -- exact-null period search ------------------------------------------------
@@ -739,7 +738,8 @@ class TestFindNullPeriod:
         assert base.tolist() == [[1, 1, 1, 1], [1, 1, 0, 0]]
         tiled = np.tile(base, 6000)
         s = stream_of(tiled ^ (rng.random(tiled.shape) < 0.05))
-        assert learn_cbn(s).estimate == PeriodEstimate(ts_star=3, tp=4)
+        model = learn_cbn(s)
+        assert (model.ts_star, model.period) == (3, 4)
 
 
 def held_out_stream(T, M, pattern_seed, noise_seed, reps=2000):
@@ -778,6 +778,48 @@ class TestHeldOutRecovery:
                     if got != T:
                         misses[(T, pattern_seed, noise_seed)] = got
         assert len(misses) <= 0.05 * 80, misses
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py`` of this checkout, run without writing anything."""
+    import runpy
+    from types import SimpleNamespace
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return SimpleNamespace(**runpy.run_path(str(path)))
+
+
+class TestBenchmarkInputs:
+    """The T a blind learn finds on the benchmark's seed-0 input variants.
+
+    The benchmark only range-checks T, so these pins catch a search change
+    that moves it.
+    """
+
+    def test_blind_m8(self, workloads):
+        got = [
+            learn_cbn(ObservationStream(workloads.planted_stream(
+                8, workloads.PLANTED_SLOTS, workloads.variant_seed(0, v)))).period
+            for v in range(4)
+        ]
+        assert got == [12, 12, 12, 12]
+
+    def test_road_360k(self, workloads):
+        # the stream ``cbnet simulate --speed-kmh 43.2:72.0`` writes
+        from cbnet import SimulationConfig, run
+        from cbnet.simulator import KMH_TO_MS
+
+        got = []
+        for v in range(4):
+            cfg = SimulationConfig(
+                duration_slots=workloads.ROAD_SLOTS,
+                num_cells=workloads.ROAD_CELLS,
+                speed_range=(43.2 * KMH_TO_MS, 72.0 * KMH_TO_MS),
+                seed=workloads.variant_seed(0, v),
+            )
+            got.append(learn_cbn(run(cfg)).period)
+        assert got == [11, 10, 10, 11]
 
 
 def criterion4_stream(T_r, noise_seed):
@@ -882,14 +924,14 @@ class TestBlindPeriod:
         s = criterion4_stream(8, 3)
         a, b = learn_cbn(s), learn_cbn(s)
         assert a.period == b.period == 8
-        assert a.estimate.tp == a.period and 1 <= a.estimate.ts_star <= a.period
+        assert 1 <= a.ts_star <= a.period
         assert model_digest(a) == model_digest(b)
 
     def test_paper_period_reproduces_previous_models(self):
         from cbnet import SimulationConfig, run
 
         def learn(s):
-            return learn_cbn(s, LearnConfig(period=paper_period(s)))
+            return learn_cbn(s, period=paper_period(s))
 
         for T_r in (4, 6, 8, 12):
             got = [
@@ -912,7 +954,7 @@ class TestBlindPeriod:
             got = []
             for seed in range(len(want)):
                 s = planted_stream(12, 1000, M=M, seed=seed)
-                m = learn_cbn(s, LearnConfig(period=paper_period(s)))
+                m = learn_cbn(s, period=paper_period(s))
                 got.append((m.period, model_digest(m)))
             assert got == want, M
         s = planted_stream(12, 1000, M=8, seed=0)
