@@ -232,9 +232,7 @@ def model_from_dict(doc: dict) -> CbnModel:
     return CbnModel(
         M=m,
         period=period,
-        cpts=tuple(
-            CliqueCPT(M=m, B=B, counts=np.zeros(2**m, dtype=np.int64)) for B in cpts
-        ),
+        cpts=tuple(CliqueCPT(M=m, B=B) for B in cpts),
         deps=tuple(DependenceMatrix(M=m, D=D) for D in deps),
         ts_star=ts_star,
         provenance=doc.get("provenance", {}),

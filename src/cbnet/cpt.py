@@ -34,7 +34,8 @@ class CliqueCPT:
 
     M: int
     B: np.ndarray = field(repr=False)
-    counts: np.ndarray = field(repr=False)
+    #: frames seen per parent pattern; not stored in model files
+    counts: np.ndarray | None = field(default=None, repr=False)
     #: pre-clamp conditionals (unseen rows still 0.5); kept for oracle checks
     B_raw: np.ndarray | None = field(default=None, repr=False)
 

@@ -11,7 +11,8 @@ pairs reproduce streams bit-identically.  The draws are those of
 ``np.random.Generator(PCG64(seed))``'s scalar ``standard_exponential()`` and
 ``random()`` calls, in stream order, but they are decoded in blocks from the
 bit generator's raw words (``cbnet.ziggurat.decode``), and each block's users
-are found with array ops, which saves the ~1 us that each scalar call costs.
+are found with array ops, which saves the ~1 us that each scalar call costs;
+only their sessions are kept, one row each, as that is all a stream reads.
 The ziggurat's tables there are transcribed from numpy 2.4.6's
 ``libnpyrandom.a`` (``we_double``, ``ke_double``, ``fe_double``); the streams
 therefore rest only on PCG64's raw words, which numpy keeps stable, and tests
@@ -97,23 +98,23 @@ class Simulation:
     def _draw(self, bitgen: np.random.PCG64, horizon: float):
         """Poisson arrivals on [0, horizon); sessions drawn per user in entry order.
 
-        Returns the columns (entry, speed), one item per user, and (owner,
-        start, end), one item per session, ``owner`` indexing the user, as
-        ``array.array`` buffers.  The draws are those of
-        ``np.random.Generator(bitgen)``, in its stream's order and bit for
-        bit: ``scale * standard_exponential()`` and ``lo + (hi - lo) *
-        random()``, numpy's own arithmetic for ``exponential(scale)`` and
-        ``uniform(lo, hi)``.  A user reads an arrival, a speed and a gap,
-        then a session length and another gap for as long as its gaps sum to
-        less than its transit time.
+        Returns the columns (entry, speed, start, end), one item per
+        session, entry and speed being its user's, as ``array.array``
+        buffers.  The draws are those of ``np.random.Generator(bitgen)``, in
+        its stream's order and bit for bit: ``scale * standard_exponential()``
+        and ``lo + (hi - lo) * random()``, numpy's own arithmetic for
+        ``exponential(scale)`` and ``uniform(lo, hi)``.  A user reads an
+        arrival, a speed and a gap, then a session length and another gap
+        for as long as its gaps sum to less than its transit time.  Without
+        arrivals or sessions no user can mark a slot, so nothing is drawn.
 
         Which word a draw starts at never depends on the arrival times, so
         the users are found with array ops over blocks of ``_DRAW_WORDS``
         words (``cbnet.ziggurat.decode``).  A *regular* user's arrival and
         first gap take the ziggurat's fast path and that gap outlasts its
-        transit, so the next user starts ``step`` words on; after any other
-        word, the next user is found by walking its draws, a pass per
-        session.  A user that does not fit in a block is carried over.
+        transit, so the next user starts 3 words on; after any other word,
+        the next user is found by walking its draws, a pass per session.  A
+        user that does not fit in a block is carried over.
         """
         # imported here, not at the top: every cbnet command loads this
         # module, and only a simulation needs the ziggurat tables
@@ -122,20 +123,15 @@ class Simulation:
         from .ziggurat import decode
 
         cfg = self.config
-        # made once for the expected users and trimmed at the end: grown a
-        # block at a time, they fragmented the heap (road-360k RSS +2 MiB)
-        room = int(cfg.arrival_rate * horizon)
-        entry, speed = array("d", [0.0]) * room, array("d", [0.0]) * room
-        owner, start, end = array("q"), array("d"), array("d")
-        if cfg.arrival_rate <= 0:
-            return entry, speed, owner, start, end
-        arrival_mean = 1.0 / cfg.arrival_rate
+        entry, speed, start, end = array("d"), array("d"), array("d"), array("d")
+        if cfg.arrival_rate <= 0 or cfg.traffic_rate <= 0:
+            return entry, speed, start, end
+        arrival_mean, gap_mean = 1.0 / cfg.arrival_rate, 1.0 / cfg.traffic_rate
         v_lo, v_hi = cfg.speed_range
         v_span = v_hi - v_lo
-        gap_mean = 1.0 / cfg.traffic_rate if cfg.traffic_rate > 0 else None
         service_mean, road_length = cfg.service_mean, cfg.road_length
-        step = 2 if gap_mean is None else 3
-        raw, t, count = np.empty(0, dtype=np.uint64), 0.0, 0
+        step = 3  # a regular user's words: arrival, speed, gap
+        raw, t = np.empty(0, dtype=np.uint64), 0.0
         while True:
             # at least as many new words as carried ones, so that a user
             # longer than a block is decoded a logarithmic number of times
@@ -146,11 +142,8 @@ class Simulation:
             e, after, u = decode(raw)
             fast = after[:n] == np.arange(1, n + 1)
             regular = np.zeros(n + step, dtype=bool)
-            if gap_mean is None:
-                regular[:n - 1] = fast[:-1]
-            else:
-                regular[:n - 2] = fast[:-2] & fast[2:] & (
-                    gap_mean * e[2:n] >= road_length / (v_lo + v_span * u[1:-1]))
+            regular[:n - 2] = fast[:-2] & fast[2:] & (
+                gap_mean * e[2:n] >= road_length / (v_lo + v_span * u[1:-1]))
             # the other words, ending with the words n .. n + step - 1 past
             # the block, one in each residue class modulo step; nxt is the
             # word where the next user starts, or -1 past the block
@@ -159,26 +152,23 @@ class Simulation:
             a = after[other[:-step]]  # the speed's word
             rows = (a < n).nonzero()[0]
             a = a[rows]
+            c = after[a + 1]  # the word after the gap
+            rows, a, c = rows[c <= n], a[c <= n], c[c <= n]
+            transit = road_length / (v_lo + v_span * u[a])
+            s = gap_mean * e[a + 1]
             sessions = []  # (rows, s, min(s + length, transit)) per pass
-            if gap_mean is None:
-                nxt[rows] = a + 1
-            else:
-                c = after[a + 1]  # the word after the gap
-                rows, a, c = rows[c <= n], a[c <= n], c[c <= n]
-                transit = road_length / (v_lo + v_span * u[a])
-                s = gap_mean * e[a + 1]
-                # each pass reads a session's length and the next gap; a row
-                # whose draws run past the block drops out, nxt left at -1
-                while rows.size:
-                    out = s >= transit
-                    nxt[rows[out]] = c[out]
-                    length_end = after[c]
-                    keep = ~out & (after[length_end] <= n)
-                    rows, s, c, transit, length_end = (
-                        x[keep] for x in (rows, s, c, transit, length_end))
-                    sessions.append((rows, s, np.minimum(s + service_mean * e[c], transit)))
-                    s = s + gap_mean * e[length_end]
-                    c = after[length_end]
+            # each pass reads a session's length and the next gap; a row
+            # whose draws run past the block drops out, nxt left at -1
+            while rows.size:
+                out = s >= transit
+                nxt[rows[out]] = c[out]
+                length_end = after[c]
+                keep = ~out & (after[length_end] <= n)
+                rows, s, c, transit, length_end = (
+                    x[keep] for x in (rows, s, c, transit, length_end))
+                sessions.append((rows, s, np.minimum(s + service_mean * e[c], transit)))
+                s = s + gap_mean * e[length_end]
+                c = after[length_end]
             # the run of regular users from word m ends at the first other
             # word of m's residue class: run_end[m] is that word's row
             run_end = np.full(n + step, other.size)
@@ -213,18 +203,13 @@ class Simulation:
                 keep = ((who >= 0) & (who < cut)).nonzero()[0]
                 keep = keep[np.argsort(who[keep], kind="stable")]
                 who, s, stop = who[keep], s[keep], stop[keep]
-                owner.frombytes((who + count).tobytes())
-                start.frombytes((times[who + 1] + s).tobytes())
-                end.frombytes((times[who + 1] + stop).tobytes())
-            if count + cut > len(entry):  # more users than expected
-                entry.frombytes(bytes(8 * (count + cut - len(entry))))
-                speed.frombytes(bytes(8 * (count + cut - len(speed))))
-            np.frombuffer(entry)[count:count + cut] = times[1:cut + 1]
-            np.frombuffer(speed)[count:count + cut] = v_lo + v_span * u[after[users[:cut]]]
-            count += cut
+                at = times[who + 1]
+                entry.frombytes(at.tobytes())
+                speed.frombytes((v_lo + v_span * u[after[users[who]]]).tobytes())
+                start.frombytes((at + s).tobytes())
+                end.frombytes((at + stop).tobytes())
             if cut < users.size:
-                del entry[count:], speed[count:]
-                return entry, speed, owner, start, end
+                return entry, speed, start, end
             t = times[-1]
             raw = raw[ends[-1]:]
 
@@ -234,8 +219,10 @@ class Simulation:
         m = cfg.num_cells
         # a stream too large to hold, or its expected draws (users, and their
         # sessions at the slowest speed), fail here at once, not after the
-        # draws.  The stream is allocated after them: kept from here, it sat
-        # below their buffers in the heap; road-360k's peak RSS read 0.5-1.4 MiB more
+        # draws.  Every user is drawn though only sessions are kept, so this
+        # probe bounds the draws, not the kept columns.  The stream is
+        # allocated after the draws: kept from here, it sat below their
+        # buffers in the heap; road-360k's peak RSS read 0.5-1.4 MiB more
         users = cfg.arrival_rate * n * cfg.sense_interval
         sessions = users * cfg.traffic_rate * cfg.road_length / cfg.speed_range[0]
         try:
@@ -246,18 +233,16 @@ class Simulation:
                 f"a stream of {m} cells x {n} slots ({m * n} bytes), or the draws of "
                 f"{users:.3g} users and {sessions:.3g} sessions, cannot be allocated"
             ) from None
-        entry, speed, owner, start, end = self._draw(
+        entry, speed, start, end = self._draw(
             np.random.PCG64(cfg.seed), n * cfg.sense_interval
         )
         for t, v, sessions in self._scripted:
             for s, e in sessions:
-                owner.append(len(entry))
+                entry.append(t)
+                speed.append(v)
                 start.append(s)
                 end.append(e)
-            entry.append(t)
-            speed.append(v)
-        owner, start, end = np.asarray(owner), np.asarray(start), np.asarray(end)
-        entry, speed = np.asarray(entry)[owner], np.asarray(speed)[owner]
+        entry, speed, start, end = (np.asarray(c) for c in (entry, speed, start, end))
 
         # sampling instants slot * sense_interval inside [start, end]
         first = np.maximum(np.ceil(start / cfg.sense_interval), 1).astype(np.int64)

@@ -630,6 +630,7 @@ class TestModelJson:
                 model.M, model.period, model.ts_star)
             for a, b in zip(back.cpts, model.cpts, strict=True):
                 assert np.array_equal(a.B, at_precision(b.B))
+                assert a.counts is None  # model files store no counts
             for a, b in zip(back.deps, model.deps, strict=True):
                 assert np.array_equal(a.D, at_precision(b.D))
             # the rounded model is written again to the same bytes

@@ -75,6 +75,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=field):
             SimulationConfig(duration_slots=10, **{field: value})
 
+    def test_huge_draws_refused_before_drawing(self, monkeypatch):
+        # 1e301 users start ~214 sessions: every user is drawn, so a probe
+        # bounded by the sessions alone would let the draws walk them all
+        def no_draw(*args):
+            raise AssertionError("_draw called")
+
+        monkeypatch.setattr(Simulation, "_draw", no_draw)
+        cfg = SimulationConfig(duration_slots=10, arrival_rate=1e300, traffic_rate=1e-300)
+        with pytest.raises(ConfigError, match="cannot be allocated"):
+            Simulation(cfg).run()
+
 
 class TestScriptedUsers:
     def test_no_arrivals_all_zero(self):
@@ -144,38 +155,33 @@ class TestDeterminism:
 
 
 class TestLongRunStatistics:
-    def test_mean_users_per_cell(self):
-        # expected concurrent users per cell = arrival_rate * cell_len / v_bar
+    def test_mean_session_count(self):
+        # a user at speed v starts traffic_rate * L / v sessions on average,
+        # and E[1/v] = ln(hi / lo) / (hi - lo) for v uniform on [lo, hi]:
+        # 3,390 sessions here, of sd ~59, so 10% is ~5.7 sd
         cfg = SimulationConfig(
             duration_slots=100000, speed_range=(28.0, 44.0), seed=17
         )
-        sim = Simulation(cfg)
-        bitgen = np.random.PCG64(cfg.seed)
-        entry, speed, *_ = sim._draw(bitgen, cfg.duration_slots * cfg.sense_interval)
-        v_bar = 36.0
-        expect = cfg.arrival_rate * (cfg.road_length / cfg.num_cells) / v_bar
-        # count users in cell 1 at each sampling instant
-        entries, speeds = np.asarray(entry), np.asarray(speed)
-        count = 0
-        taus = np.arange(1, cfg.duration_slots + 1, 50)
-        for tau in taus:
-            pos = speeds * (tau - entries)
-            count += int(((pos >= 0) & (pos < 200)).sum())
-        mean = count / len(taus)
-        assert abs(mean - expect) / expect < 0.1
+        horizon = cfg.duration_slots * cfg.sense_interval
+        entry, *_ = Simulation(cfg)._draw(np.random.PCG64(cfg.seed), horizon)
+        lo, hi = cfg.speed_range
+        expect = (cfg.arrival_rate * horizon * cfg.traffic_rate * cfg.road_length
+                  * math.log(hi / lo) / (hi - lo))
+        assert abs(len(entry) - expect) / expect < 0.1
 
     def test_sensor_on_requires_occupied_cell(self):
         cfg = SimulationConfig(duration_slots=2000, seed=23)
         sim = Simulation(cfg)
         bitgen = np.random.PCG64(cfg.seed)
-        entry, speed, *_ = sim._draw(bitgen, cfg.duration_slots * cfg.sense_interval)
-        entry, speed = np.asarray(entry), np.asarray(speed)
+        columns = sim._draw(bitgen, cfg.duration_slots * cfg.sense_interval)
+        entry, speed, start, end = (np.asarray(c) for c in columns)
         v = sim.run().values
         cell_len = cfg.road_length / cfg.num_cells
         for slot in np.argwhere(v.T):
             n, i = int(slot[0]) + 1, int(slot[1])
             pos = speed * (n - entry) - i * cell_len
-            occupied = ((0 <= pos) & (pos < cell_len)).any()
+            active = (start <= n) & (n <= end)
+            occupied = (active & (0 <= pos) & (pos < cell_len)).any()
             assert occupied, (n, i)
 
 
@@ -256,7 +262,7 @@ class TestDrawBlocks:
     """``Simulation._draw`` decodes PCG64 words in blocks of ``_DRAW_WORDS``.
 
     Each digest config, cut to ``SLOTS`` slots, gives the same stream and
-    the same five ``_draw`` columns at tiny blocks as at the default size,
+    the same four ``_draw`` columns at tiny blocks as at the default size,
     whose full-length streams ``TestStreamDigests`` pins.
     """
 
@@ -271,7 +277,7 @@ class TestDrawBlocks:
             sim.inject_user(*scripted)
         horizon = cfg.duration_slots * cfg.sense_interval
         columns = sim._draw(np.random.PCG64(cfg.seed), horizon)
-        names = ("entry", "speed", "owner", "start", "end", "stream")
+        names = ("entry", "speed", "start", "end", "stream")
         outputs = [c.tobytes() for c in columns] + [sim.run().values.tobytes()]
         return dict(zip(names, outputs))
 
@@ -409,23 +415,19 @@ class TestZigguratDecode:
 
 
 def loop_draw(cfg, horizon):
-    """The draw loop, literally: ``Simulation._draw``'s five columns from
-    numpy's scalar draws, ``scale * standard_exponential()`` and ``lo + span
-    * random()``, in the loop's order."""
+    """The draw loop, literally: ``Simulation._draw``'s four session columns
+    from numpy's scalar draws, ``scale * standard_exponential()`` and ``lo +
+    span * random()``, in the loop's order; none without arrivals or
+    sessions."""
     gen = np.random.Generator(np.random.PCG64(cfg.seed))
-    entry, speed, owner, start, end = [], [], [], [], []
+    entry, speed, start, end = [], [], [], []
     v_lo, v_hi = cfg.speed_range
     t = 0.0
-    while cfg.arrival_rate > 0:
+    while cfg.arrival_rate > 0 and cfg.traffic_rate > 0:
         t += 1.0 / cfg.arrival_rate * gen.standard_exponential()
         if t >= horizon:
             break
         v = v_lo + (v_hi - v_lo) * gen.random()
-        user = len(entry)
-        entry.append(t)
-        speed.append(v)
-        if cfg.traffic_rate == 0:
-            continue
         transit = cfg.road_length / v
         s = 0.0
         while True:
@@ -433,10 +435,11 @@ def loop_draw(cfg, horizon):
             if s >= transit:
                 break
             length = cfg.service_mean * gen.standard_exponential()
-            owner.append(user)
+            entry.append(t)
+            speed.append(v)
             start.append(t + s)
             end.append(t + min(s + length, transit))
-    return entry, speed, owner, start, end
+    return entry, speed, start, end
 
 
 def assert_columns_equal(cfg):
@@ -444,8 +447,8 @@ def assert_columns_equal(cfg):
     horizon = cfg.duration_slots * cfg.sense_interval
     got = Simulation(cfg)._draw(np.random.PCG64(cfg.seed), horizon)
     want = loop_draw(cfg, horizon)
-    for name, g, w in zip(("entry", "speed", "owner", "start", "end"), got, want):
-        assert g.tobytes() == array(g.typecode, w).tobytes(), name
+    for name, g, w in zip(("entry", "speed", "start", "end"), got, want, strict=True):
+        assert g.tobytes() == array("d", w).tobytes(), name
 
 
 @st.composite
@@ -468,9 +471,20 @@ def draw_configs(draw):
 
 
 class TestDrawColumns:
-    """All five columns of ``Simulation._draw`` against ``loop_draw``: the
+    """All four columns of ``Simulation._draw`` against ``loop_draw``: the
     stream digests pin only the slots that sessions mark, so a session end
     one ulp off would pass them."""
+
+    @pytest.mark.parametrize("rates", [(0.0, 0.002), (1.0, 0.0), (0.0, 0.0)])
+    def test_nothing_drawn_without_sessions(self, rates):
+        # no drawn user could mark a slot, so no word is read
+        cfg = SimulationConfig(
+            duration_slots=500, arrival_rate=rates[0], traffic_rate=rates[1], seed=11)
+        bitgen = np.random.PCG64(cfg.seed)
+        before = bitgen.state
+        columns = Simulation(cfg)._draw(bitgen, 500.0)
+        assert [len(c) for c in columns] == [0, 0, 0, 0]
+        assert bitgen.state == before
 
     @pytest.mark.parametrize("name", sorted(TestStreamDigests.CASES))
     def test_digest_configs(self, name):
