@@ -11,20 +11,8 @@ and a road-traffic simulator round out the toolkit.
 """
 
 from .baseline import cmi_edge, conventional_learn
-from .cpt import (
-    DEFAULT_EPS,
-    CliqueCPT,
-    bbcpt,
-    condition_matrix,
-    counting_oracle,
-)
-from .dependence import (
-    DependenceMatrix,
-    cpbd_clique,
-    difference_operator,
-    direct_cpbd,
-    normalize,
-)
+from .cpt import DEFAULT_EPS, CliqueCPT, bbcpt
+from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import (
     BoundaryProbabilityError,
     CbnetError,
@@ -50,6 +38,7 @@ from .period import (
     paper_period,
     resolve_period,
 )
+from .reference import counting_oracle, direct_cpbd
 from .simulator import Simulation, SimulationConfig, run
 
 __version__ = "0.1.0"
@@ -76,12 +65,10 @@ __all__ = [
     "SimulationConfig",
     "bbcpt",
     "cmi_edge",
-    "condition_matrix",
     "conventional_learn",
     "counting_oracle",
     "cpbd_clique",
     "dft_magnitude",
-    "difference_operator",
     "direct_cpbd",
     "find_tp",
     "find_ts",

@@ -4,9 +4,8 @@ The 2^M parent patterns are the rows of a condition matrix, row x being the
 binary encoding of x.  The closed form matches every frame against every
 row with a floored-average indicator; since a frame matches exactly the row
 whose index is its own parent pattern, production code codes both columns
-of each frame pair as pattern indices and counts their sorted keys.  The
-literal floored-average match (``match_indicator``) and a per-frame counting
-oracle are kept as references for the tests.
+of each frame pair as pattern indices and counts their sorted keys
+(``cbnet.reference`` keeps the literal match and a counting oracle).
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from .errors import DimensionError, EmptyInputError, ShapeMismatchError
 
 DEFAULT_EPS = 1e-3
 M_MAX = 20
-
-#: sentinel for oracle entries whose parent pattern never occurs
-UNDEFINED = -1.0
 
 
 @dataclass(frozen=True)
@@ -46,14 +42,6 @@ def check_sensor_count(M: int) -> None:
         raise DimensionError(f"sensor count {M} outside [1, {M_MAX}]")
 
 
-def condition_matrix(M: int) -> np.ndarray:
-    """All 2^M parent patterns, 2^M x M; row x is the M-bit binary of x (MSB first)."""
-    check_sensor_count(M)
-    x = np.arange(2**M, dtype=np.int64)[:, None]
-    shifts = np.arange(M - 1, -1, -1, dtype=np.int64)[None, :]
-    return ((x >> shifts) & 1).astype(np.int8)
-
-
 def _frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
     """Validated 2-D frame matrices, in the dtype they came in."""
     parent = np.asarray(parent)
@@ -71,26 +59,21 @@ def _frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
     return parent, child
 
 
+def _binary_frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
+    """``_frames`` that hold only 0/1 values; anything else is a ValueError."""
+    parent, child = _frames(parent, child)
+    for frames in (parent, child):
+        # every nonzero value must be a 1
+        if np.count_nonzero(frames) != np.count_nonzero(frames == 1):
+            raise ValueError("frames must hold only 0/1 values")
+    return parent, child
+
+
 def _check_pair(parent, child) -> tuple[np.ndarray, np.ndarray]:
     """Validated int64 frames; an int64 input comes back as itself, not a
     copy, so callers must not write to them."""
     parent, child = _frames(parent, child)
     return parent.astype(np.int64, copy=False), child.astype(np.int64, copy=False)
-
-
-def match_indicator(C: np.ndarray, parent: np.ndarray) -> np.ndarray:
-    """Floored-average pattern match: nom[x, k] = 1 iff frame k equals row x.
-
-    Computed literally as floor((C @ P + (1-C) @ (1-P)) / M).  The matrix
-    products run in float64 for speed; every intermediate is an integer
-    no larger than M, so the values are exact and the floor is bit-identical
-    to pure integer arithmetic.
-    """
-    M = C.shape[1]
-    Cf = C.astype(np.float64)
-    Pf = parent.astype(np.float64)
-    agree = Cf @ Pf + (1.0 - Cf) @ (1.0 - Pf)
-    return (np.rint(agree).astype(np.int64)) // M
 
 
 def pattern_codes(frames: np.ndarray) -> np.ndarray:
@@ -143,10 +126,10 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     The parent and child frames are coded once each (``pattern_codes``),
     counted by ``pair_counts`` as one clique and scattered into the 2^M
     rows.  The integers are exactly those of the literal floored-average
-    match matrix (``match_indicator``, kept as the test reference) and of
+    match matrix (``cbnet.reference.match_indicator``) and of
     ``counting_oracle``.
     """
-    parent, child = _frames(parent, child)
+    parent, child = _binary_frames(parent, child)
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
     M = parent.shape[0]
@@ -158,31 +141,3 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     raw[seen] = ones / n[:, None]
     B = np.clip(raw, eps, 1.0 - eps)  # unseen rows keep 0.5, inside the clamp
     return CliqueCPT(M=M, B=B, counts=counts, B_raw=raw)
-
-
-def counting_oracle(parent, child) -> tuple[np.ndarray, np.ndarray]:
-    """Direct per-frame reference for bbcpt (pre-clamp).
-
-    Returns (B_exact, counts) where B_exact[x, i] is the fraction of frames
-    with parent pattern x whose child_i is 1, or the UNDEFINED sentinel when
-    pattern x never occurs.  Deliberately loop-based and independent of the
-    matrix path.
-    """
-    parent, child = _check_pair(parent, child)
-    M, K = parent.shape
-    rows = 2**M
-    counts = np.zeros(rows, dtype=np.int64)
-    ones = np.zeros((rows, M), dtype=np.int64)
-    for k in range(K):
-        x = 0
-        for i in range(M):
-            x = (x << 1) | int(parent[i, k])
-        counts[x] += 1
-        for i in range(M):
-            ones[x, i] += int(child[i, k])
-    B = np.full((rows, M), UNDEFINED)
-    for x in range(rows):
-        if counts[x] > 0:
-            for i in range(M):
-                B[x, i] = ones[x, i] / counts[x]
-    return B, counts

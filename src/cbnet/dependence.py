@@ -6,8 +6,8 @@ between the two conditionals that differ only in parent k; it is stored at
 D[k, i], parent row and child column.  It is zero exactly under
 conditional independence.  The clique-level computation pairs
 condition rows that differ in one parent bit as two strided views of the
-table, which is the difference operator applied without building it; the
-dense operator and a literal nested-loop oracle are kept for verification.
+table, which is the difference operator applied without building it
+(``cbnet.reference`` keeps the dense operator and a nested-loop oracle).
 """
 
 from __future__ import annotations
@@ -17,31 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpt import CliqueCPT, check_sensor_count
-from .errors import BoundaryProbabilityError, DimensionError
+from .errors import BoundaryProbabilityError
 
 #: diagonal entries below this are treated as degenerate when normalizing
 DEGENERATE_DIAG = 1e-9
-
-
-def difference_operator(M: int) -> np.ndarray:
-    """Dense 2^M x (M * 2^(M-1)) int8 row-pairing operator, a test reference.
-
-    Column block k (k = 1..M) has one column per assignment a of the other
-    M-1 parent bits: +1 at the row with parent k's bit at 0, -1 at the row
-    with it at 1.  M is capped at 12, where the matrix takes 100 MB.
-    """
-    if not 1 <= M <= 12:
-        raise DimensionError(f"dense difference operator for M = {M} outside [1, 12]")
-    half = 2 ** (M - 1)
-    L = np.zeros((2**M, M * half), dtype=np.int8)
-    a = np.arange(half)
-    for k in range(1, M + 1):
-        bit = M - k  # parent k occupies bit M-k of the condition index
-        base = ((a >> bit) << (bit + 1)) | (a & ((1 << bit) - 1))
-        cols = (k - 1) * half + a
-        L[base, cols] = 1
-        L[base | (1 << bit), cols] = -1
-    return L
 
 
 @dataclass(frozen=True)
@@ -66,9 +45,9 @@ def _check_open_unit(B: np.ndarray):
 
 
 def cpbd_tables(M: int, B: np.ndarray) -> np.ndarray:
-    """CPbD matrices of stacked CPTs: B (..., 2^M, M) -> D (..., M, M).
+    """CPbD matrix of one CPT: B (2^M, M) -> D (M, M).
 
-    D[..., k, i] (parent k, child i) sums |log B - log B| and |log(1-B) - log(1-B)| over the
+    D[k, i] (parent k, child i) sums |log B - log B| and |log(1-B) - log(1-B)| over the
     2^(M-1) row pairs of block k (natural log).  Equivalent to applying the
     dense difference operator and block-summing, without materializing it:
     the rows with parent k's bit at 0 and at 1 are two strided views of the
@@ -76,49 +55,23 @@ def cpbd_tables(M: int, B: np.ndarray) -> np.ndarray:
     """
     check_sensor_count(M)
     _check_open_unit(B)
-    lead = B.shape[:-2]
     logB = np.log(B)
     log1mB = np.log(1.0 - B)
-    D = np.empty(lead + (M, M))  # [parent k, child i]
+    D = np.empty((M, M))  # [parent k, child i]
     for k in range(M):
         # parent k+1 is bit M-1-k of the condition index
-        pairs = lead + (2**k, 2, 2 ** (M - 1 - k), M)
+        pairs = (2**k, 2, 2 ** (M - 1 - k), M)
         on = logB.reshape(pairs)
         off = log1mB.reshape(pairs)
-        d = np.abs(on[..., 0, :, :] - on[..., 1, :, :])
-        d += np.abs(off[..., 0, :, :] - off[..., 1, :, :])
-        D[..., k, :] = d.reshape(lead + (-1, M)).sum(axis=-2)
+        d = np.abs(on[:, 0] - on[:, 1])
+        d += np.abs(off[:, 0] - off[:, 1])
+        D[k] = d.reshape(-1, M).sum(axis=0)
     return D
 
 
 def cpbd_clique(cpt: CliqueCPT) -> DependenceMatrix:
     """CPbD of every edge of one clique from its CPT (see ``cpbd_tables``)."""
     return DependenceMatrix(M=cpt.M, D=cpbd_tables(cpt.M, cpt.B))
-
-
-def direct_cpbd(cpt: CliqueCPT, k: int, i: int) -> float:
-    """Literal nested-loop CPbD of one edge (1-based parent k, child i).
-
-    The indices come in matrix order, so ``direct_cpbd(cpt, k, i)`` is
-    ``cpbd_clique(cpt).D[k - 1, i - 1]``.
-    """
-    M = cpt.M
-    if not (1 <= i <= M and 1 <= k <= M):
-        raise IndexError(f"parent {k} / child {i} outside [1, {M}]")
-    B = cpt.B
-    _check_open_unit(B)
-    bit = M - k
-    total = 0.0
-    for a in range(2 ** (M - 1)):
-        low = a & ((1 << bit) - 1)
-        high = (a >> bit) << (bit + 1)
-        x0 = high | low
-        x1 = x0 | (1 << bit)
-        for y in (0, 1):
-            p0 = B[x0, i - 1] if y == 1 else 1.0 - B[x0, i - 1]
-            p1 = B[x1, i - 1] if y == 1 else 1.0 - B[x1, i - 1]
-            total += abs(np.log(p0) - np.log(p1))
-    return float(total)
 
 
 def normalize(dm: DependenceMatrix) -> DependenceMatrix:

@@ -44,6 +44,7 @@ from .cpt import (
 )
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import (
+    ConfigError,
     EmptyInputError,
     InsufficientDataError,
     NoPeakError,
@@ -354,6 +355,10 @@ def learn_cbn(
     """
     m = stream.sensor_count
     check_sensor_count(m)
+    if period is not None:
+        if isinstance(period, bool) or not isinstance(period, (int, np.integer)):
+            raise ConfigError(f"period must be an integer, got {period!r}")
+        period = int(period)  # a numpy integer is not JSON-serializable
     provenance = {
         "slot_count": stream.slot_count,
         "sensor_labels": list(stream.sensor_labels),
@@ -363,7 +368,6 @@ def learn_cbn(
     ts_star = None
     if period is None:
         ts_star, period = find_null_period(stream)
-    period = int(period)
 
     # fold range-checks the period, given or not, before the warning
     frames = fold(stream, period)

@@ -220,11 +220,14 @@ class Simulation:
         # a stream too large to hold, or its expected draws (users, and their
         # sessions at the slowest speed), fail here at once, not after the
         # draws.  Every user is drawn though only sessions are kept, so this
-        # probe bounds the draws, not the kept columns.  The stream is
-        # allocated after the draws: kept from here, it sat below their
-        # buffers in the heap; road-360k's peak RSS read 0.5-1.4 MiB more
-        users = cfg.arrival_rate * n * cfg.sense_interval
-        sessions = users * cfg.traffic_rate * cfg.road_length / cfg.speed_range[0]
+        # probe bounds the draws, not the kept columns; with a rate of 0
+        # nothing is drawn.  The stream is allocated after the draws: kept
+        # from here, it sat below their buffers in the heap; road-360k's
+        # peak RSS read 0.5-1.4 MiB more
+        users = sessions = 0.0
+        if cfg.arrival_rate > 0 and cfg.traffic_rate > 0:
+            users = cfg.arrival_rate * n * cfg.sense_interval
+            sessions = users * cfg.traffic_rate * cfg.road_length / cfg.speed_range[0]
         try:
             np.empty((m, n), dtype=np.int8)
             np.empty(int(2 * users + 3 * sessions), dtype=np.float64)

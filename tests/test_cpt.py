@@ -7,21 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbnet import (
-    DimensionError,
-    EmptyInputError,
-    ShapeMismatchError,
-    bbcpt,
+from cbnet import DimensionError, EmptyInputError, ShapeMismatchError, bbcpt
+from cbnet.cpt import M_MAX, _check_pair, pair_counts, pattern_codes
+from cbnet.reference import (
+    UNDEFINED,
     condition_matrix,
     counting_oracle,
-)
-from cbnet.cpt import (
-    M_MAX,
-    UNDEFINED,
-    _check_pair,
     match_indicator,
-    pair_counts,
-    pattern_codes,
 )
 
 
@@ -136,6 +128,18 @@ class TestBbcpt:
     def test_counts_sum_to_frames(self):
         parent, child = random_pair(3, 257, 9)
         assert bbcpt(parent, child).counts.sum() == 257
+
+
+class TestNonBinaryFrames:
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    @pytest.mark.parametrize("count", [bbcpt, counting_oracle])
+    def test_rejected(self, count, bad, side):
+        # 0.5 or -1 would count as some pattern, and 2 index past the table
+        frames = [np.array([[0, 1, 1], [1, 0, 1]], dtype=type(bad)) for _ in range(2)]
+        frames[side][1, 2] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            count(*frames)
 
 
 class TestMatchIndicator:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbnet import (
+    ConfigError,
     DimensionError,
     EmptyInputError,
     InsufficientDataError,
@@ -312,6 +313,27 @@ class TestLearnCbn:
         s = stream_of([[0, 1] * 10])
         with pytest.raises(PeriodRangeError):
             learn_cbn(s, period=11)
+
+    @pytest.mark.parametrize("period", [2.5, 5.0, True, np.bool_(True), "5"])
+    def test_non_integer_period_rejected(self, period):
+        # int() would learn 2.5 at T = 2 and True at T = 1
+        s = stream_of([[0, 1] * 10])
+        with pytest.raises(ConfigError, match="period must be an integer"):
+            learn_cbn(s, period=period)
+
+    def test_numpy_integer_period(self, tmp_path):
+        # stored as an int, so the model file is that of period=5
+        from cbnet.cli import model_to_dict, write_model_json
+
+        rng = np.random.default_rng(1)
+        s = stream_of((rng.random((2, 200)) < 0.3).astype(np.int8))
+        paths = [tmp_path / "int.json", tmp_path / "np.json"]
+        for period, path in zip((5, np.int64(5)), paths):
+            model = learn_cbn(s, period=period)
+            assert type(model.period) is int
+            assert type(model.provenance["period_override"]) is int
+            write_model_json(model_to_dict(model), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_too_many_sensors(self):
         # rejected up front, before any per-sensor scan or period fold

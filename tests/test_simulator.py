@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from array import array
 from pathlib import Path
 
@@ -85,6 +86,16 @@ class TestConfigValidation:
         cfg = SimulationConfig(duration_slots=10, arrival_rate=1e300, traffic_rate=1e-300)
         with pytest.raises(ConfigError, match="cannot be allocated"):
             Simulation(cfg).run()
+
+    @pytest.mark.parametrize("arrival_rate, traffic_rate", [(1e300, 0.0), (0.0, 1e300)])
+    def test_no_sessions_nothing_refused(self, arrival_rate, traffic_rate):
+        # with a rate of 0 no user is drawn, however large the other rate
+        cfg = SimulationConfig(duration_slots=10, arrival_rate=arrival_rate,
+                               traffic_rate=traffic_rate)
+        start = time.perf_counter()
+        values = run(cfg).values
+        assert time.perf_counter() - start < 1.0
+        assert values.shape == (3, 10) and not values.any()
 
 
 class TestScriptedUsers:
