@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .cpt import _check_pair
+from .cpt import _binary_frames, _check_pair
 
 
 def cmi_edge(parent, child, k: int, i: int) -> float:
@@ -76,12 +76,12 @@ def cmi_edge(parent, child, k: int, i: int) -> float:
 def conventional_learn(parent, child) -> np.ndarray:
     """Score all M^2 edges with cmi_edge, recounting from scratch each time.
 
-    The frames are validated and converted to int64 once, here; each edge
-    then recounts its joint table from them and enumerates every
-    realization.  The M x M scores hold parent rows and child columns, as
-    in ``DependenceMatrix.D``.
+    The frames are checked to hold only 0/1 values and converted to int64
+    once, here; each edge then recounts its joint table from them and
+    enumerates every realization.  The M x M scores hold parent rows and
+    child columns, as in ``DependenceMatrix.D``.
     """
-    parent, child = _check_pair(parent, child)
+    parent, child = _check_pair(*_binary_frames(parent, child))
     M = parent.shape[0]
     scores = np.zeros((M, M))
     for k in range(1, M + 1):

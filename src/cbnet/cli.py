@@ -307,29 +307,22 @@ def _bench_one_m(m: int, n: int, seed: int, repeat: int, timeout: float | None):
     stream = (rng.random((m, n + 1)) < 0.5).astype(np.int8)
     parent, child = stream[:, :-1], stream[:, 1:]
 
-    timings: dict[str, list[float]] = {"proposed": [], "conventional": []}
-    records = []
+    records, medians = [], []
     for method, fn in (
         ("proposed", lambda: proposed_pipeline(parent, child)),
         ("conventional", lambda: conventional_learn(parent, child)),
     ):
-        aborted = False
+        times = []  # the completed trials; the rest record -1
         for trial in range(1, repeat + 1):
-            if aborted:
-                records.append((m, n, method, trial, -1.0))
-                continue
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
+            elapsed = -1.0
+            if not times or timeout is None or times[-1] <= timeout:
+                start = time.perf_counter()
+                fn()
+                elapsed = time.perf_counter() - start
+                times.append(elapsed)
             records.append((m, n, method, trial, elapsed))
-            timings[method].append(elapsed)
-            if timeout is not None and elapsed > timeout:
-                aborted = True
-    # repeat >= 1 and trial 1 always runs, so neither timing list is empty
-    ratio = statistics.median(timings["conventional"]) / statistics.median(
-        timings["proposed"]
-    )
-    return records, ratio
+        medians.append(statistics.median(times))  # trial 1 always runs
+    return records, medians[1] / medians[0]
 
 
 def cmd_bench(args) -> int:

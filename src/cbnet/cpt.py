@@ -42,6 +42,12 @@ def check_sensor_count(M: int) -> None:
         raise DimensionError(f"sensor count {M} outside [1, {M_MAX}]")
 
 
+def check_eps(eps: float) -> None:
+    """Reject a CPT clamp outside (0, 0.5), NaN included."""
+    if not 0 < eps < 0.5:
+        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+
+
 def _frames(parent, child) -> tuple[np.ndarray, np.ndarray]:
     """Validated 2-D frame matrices, in the dtype they came in."""
     parent = np.asarray(parent)
@@ -130,8 +136,7 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     ``counting_oracle``.
     """
     parent, child = _binary_frames(parent, child)
-    if not 0 < eps < 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5), got {eps}")
+    check_eps(eps)
     M = parent.shape[0]
     codes = [pattern_codes(frames)[:, None] for frames in (parent, child)]
     seen, n, ones = pair_counts(*codes, M)

@@ -82,15 +82,7 @@ def normalize(dm: DependenceMatrix) -> DependenceMatrix:
     cannot be scaled; they come back as an indicator column (1 on the
     diagonal, 0 elsewhere) and are flagged.
     """
-    D = dm.D
-    M = dm.M
-    out = np.empty_like(D, dtype=np.float64)
-    degenerate = []
-    for i in range(M):
-        if D[i, i] < DEGENERATE_DIAG:
-            out[:, i] = 0.0
-            out[i, i] = 1.0
-            degenerate.append(i)
-        else:
-            out[:, i] = D[:, i] / D[i, i]
-    return DependenceMatrix(M=M, D=out, degenerate=tuple(degenerate))
+    diag = np.diagonal(dm.D)
+    flat = diag < DEGENERATE_DIAG  # False for NaN, which divides as any other
+    D = np.divide(dm.D, diag, out=np.eye(dm.M), where=~flat)
+    return DependenceMatrix(dm.M, D, tuple(np.flatnonzero(flat).tolist()))

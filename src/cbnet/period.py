@@ -38,6 +38,7 @@ from .cpt import (
     DEFAULT_EPS,
     CliqueCPT,
     bbcpt,
+    check_eps,
     check_sensor_count,
     pair_counts,
     pattern_codes,
@@ -355,6 +356,7 @@ def learn_cbn(
     """
     m = stream.sensor_count
     check_sensor_count(m)
+    check_eps(epsilon)  # before the period search, which never reads it
     if period is not None:
         if isinstance(period, bool) or not isinstance(period, (int, np.integer)):
             raise ConfigError(f"period must be an integer, got {period!r}")

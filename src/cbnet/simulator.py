@@ -77,22 +77,23 @@ class Simulation:
 
     def __init__(self, config: SimulationConfig):
         self.config = config
-        self._scripted: list[tuple] = []  # (entry, speed, sessions) per user
+        self._scripted: list[tuple] = []  # (entry, speed, start, end) per session
 
     def inject_user(self, entry_time: float, speed: float, sessions) -> "Simulation":
         """Add a fully scripted user (test hook bypassing all random draws)."""
-        cfg = self.config
         if speed <= 0:
             raise ConfigError(f"scripted speed must be positive, got {speed}")
-        transit = cfg.road_length / speed
-        for start, end in sessions:
-            if not (entry_time <= start <= end <= entry_time + transit):
+        exit_time = entry_time + self.config.road_length / speed
+        user = (float(entry_time), float(speed))
+        # sessions may be a generator, so it is read once, into the rows
+        rows = [user + (float(s), float(e)) for s, e in sessions]
+        for _, _, start, end in rows:
+            if not entry_time <= start <= end <= exit_time:
                 raise SessionBoundsError(
                     f"session ({start}, {end}) outside traversal "
-                    f"[{entry_time}, {entry_time + transit}]"
+                    f"[{entry_time}, {exit_time}]"
                 )
-        sessions = tuple((float(s), float(e)) for s, e in sessions)
-        self._scripted.append((float(entry_time), float(speed), sessions))
+        self._scripted += rows
         return self
 
     def _draw(self, bitgen: np.random.PCG64, horizon: float):
@@ -239,12 +240,8 @@ class Simulation:
         entry, speed, start, end = self._draw(
             np.random.PCG64(cfg.seed), n * cfg.sense_interval
         )
-        for t, v, sessions in self._scripted:
-            for s, e in sessions:
-                entry.append(t)
-                speed.append(v)
-                start.append(s)
-                end.append(e)
+        for column, scripted in zip((entry, speed, start, end), zip(*self._scripted)):
+            column.extend(scripted)
         entry, speed, start, end = (np.asarray(c) for c in (entry, speed, start, end))
 
         # sampling instants slot * sense_interval inside [start, end]

@@ -122,6 +122,18 @@ class TestConventionalLearn:
         assert agree / total >= 0.8
 
 
+class TestNonBinaryFrames:
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    def test_rejected(self, bad, side):
+        # checked once per learn; cmi_edge alone does not check the values
+        frames = [np.array([[0, 1, 1, 0], [1, 0, 1, 0]], dtype=type(bad))
+                  for _ in range(2)]
+        frames[side][1, 3] = bad
+        with pytest.raises(ValueError, match="0/1"):
+            conventional_learn(*frames)
+
+
 class TestPinnedScores:
     """SHA-256 of ``conventional_learn(parent, child).tobytes()`` on the
     inputs ``cbnet bench`` makes at seed 0, recorded before the edges

@@ -475,8 +475,13 @@ class TestBenchCommand:
         out = tmp_path / "bench.csv"
         assert run_cli("bench", "--M", "8", "--N", 20000, "--repeat", 3,
                        "--timeout-secs", 1e-9, "--out", out) == 0
-        lines = out.read_text().splitlines()
-        assert any(",-1" in l for l in lines)
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:]]
+        # trial 1 of each method runs and exceeds the timeout; 2 and 3 do not run
+        for method in ("proposed", "conventional"):
+            times = [float(r[4]) for r in rows if r[2] == method]
+            assert times[0] > 0 and times[1:] == [-1.0, -1.0]
+        speedup = [float(r[4]) for r in rows if r[2] == "speedup_median"]
+        assert len(speedup) == 1 and speedup[0] > 0
 
     @pytest.mark.parametrize("m", ["0", "4,21", "-3"])
     def test_sensor_count_out_of_range(self, tmp_path, capsys, m):

@@ -335,6 +335,21 @@ class TestLearnCbn:
             write_model_json(model_to_dict(model), path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("epsilon", [0.7, 0.5, 0.0, -1e-3, math.nan])
+    def test_bad_epsilon_rejected_before_search(self, monkeypatch, epsilon):
+        # the period search never reads epsilon, so it is checked first
+        import cbnet.period as period
+
+        def unreachable(stream):
+            raise AssertionError("the period search ran")
+
+        monkeypatch.setattr(period, "find_null_period", unreachable)
+        s = planted_stream(4, 40)
+        with pytest.raises(ValueError, match="eps"):
+            learn_cbn(s, epsilon=epsilon)
+        with pytest.raises(ValueError, match="eps"):
+            learn_cbn(s, period=1, epsilon=epsilon)  # no clique to learn
+
     def test_too_many_sensors(self):
         # rejected up front, before any per-sensor scan or period fold
         s = planted_stream(4, 4, M=M_MAX + 1)

@@ -143,6 +143,19 @@ class TestScriptedUsers:
         with pytest.raises(SessionBoundsError):
             sim.inject_user(0.0, 20.0, [(0.0, 31.0)])  # exits at t=30
 
+    def test_session_generator_marks_as_list(self):
+        # sessions are read once, so a generator is checked and kept alike
+        sessions = [(2.0, 6.0), (10.0, 14.0)]
+        streams = []
+        for given in (sessions, (s for s in sessions)):
+            sim = Simulation(quiet_config(slots=30))
+            sim.inject_user(0.0, 5.0, given)
+            streams.append(sim.run().values)
+        assert streams[0].sum() == 10
+        assert np.array_equal(streams[0], streams[1])
+        with pytest.raises(SessionBoundsError):
+            Simulation(quiet_config()).inject_user(0.0, 20.0, iter([(0.0, 31.0)]))
+
     def test_injection_with_random_traffic_unions(self):
         cfg = SimulationConfig(duration_slots=50, arrival_rate=0.5, seed=9)
         base = Simulation(cfg).run().values
