@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import conventional_learn
-from .cpt import DEFAULT_EPS, M_MAX, CliqueCPT, bbcpt
+from .cpt import DEFAULT_EPS, M_MAX, UNSEEN, CliqueCPT, bbcpt
 from .dependence import DependenceMatrix, cpbd_clique, normalize
 from .errors import CbnetError
 from .period import CbnModel, learn_cbn
@@ -58,35 +58,41 @@ CLIQUE_PREFIX, ROW_SEP, _MARK = "    [", "], [", 10**20
 
 # ---------------------------------------------------------------- file formats
 
-def _format_rows(table: np.ndarray, format_distinct) -> list[str]:
-    """One text per row of a 2-D table; each distinct row is formatted once.
+def _format_rows(table: np.ndarray, format_values, start: str, sep: str,
+                 end: str) -> list[str]:
+    """One text per row of a 2-D table: ``start``, its entries' texts joined
+    by ``sep``, then ``end``; each distinct entry is formatted once.
 
-    Rows are told apart by their bytes.  ``format_distinct`` gets the
-    distinct rows as one array, in order of first appearance, and returns
-    their texts; every row of ``table`` then takes the text of its distinct
-    row.  Rows with equal bytes get equal text, so the result is what
-    formatting each row on its own gives, whatever the table holds.  A CPT
-    is mostly the all-0.5 rows of unseen parent patterns, so this formats
-    a few percent of its entries.
+    ``format_values`` gets a 1-D array of distinct entries and returns their
+    texts.  Entries are told apart by their bits, as 0.0 and -0.0 are written
+    differently, so the result is what formatting each entry on its own
+    gives.  A CPT is mostly the all-``UNSEEN`` rows of unseen parent
+    patterns, which share one text, so this formats a few percent of its
+    entries and joins a few percent of its rows.
     """
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    width = table.shape[1]
-    keys = table.view(np.dtype((np.void, table.itemsize * width))).ravel().tolist()
-    first = dict.fromkeys(keys)
-    distinct = np.frombuffer(b"".join(first), dtype=np.float64).reshape(len(first), width)
-    text = dict(zip(first, format_distinct(distinct)))
-    return list(map(text.__getitem__, keys))
+    table = np.asarray(table, dtype=np.float64)
+    live = np.flatnonzero((table != UNSEEN).any(axis=1))
+    bits = table[live].view(np.int64)  # a C-order copy, so its rows view as int64
+    keys = np.sort(bits, axis=None)
+    # deduplicated by hand: np.unique with no return_* flag loads numpy.ma
+    distinct = np.append(keys[:1], keys[1:][keys[1:] != keys[:-1]])
+    texts = format_values(distinct.view(np.float64))
+    dead = start + sep.join(format_values(np.array([UNSEEN])) * table.shape[1]) + end
+    out = [dead] * len(table)
+    for row, entries in zip(live.tolist(), np.searchsorted(distinct, bits).tolist()):
+        out[row] = start + sep.join(map(texts.__getitem__, entries)) + end
+    return out
 
 
-def _json_rows(rows: np.ndarray) -> list[str]:
-    """Each row as ``json.dumps`` writes its entries at 12 significant digits."""
-    rounded = [[float(f"{v:.12g}") for v in row] for row in rows.tolist()]
-    return [f"[{row}]" for row in json.dumps(rounded)[2:-2].split(ROW_SEP)]
+def _json_values(values: np.ndarray) -> list[str]:
+    """Each entry as ``json.dumps`` writes it at 12 significant digits."""
+    rounded = [float(f"{v:.12g}") for v in values.tolist()]
+    return json.dumps(rounded)[1:-1].split(", ")
 
 
-def _csv_rows(rows: np.ndarray) -> list[str]:
-    """Each row as ``np.savetxt(fmt="%.12g", delimiter=",")`` writes its line."""
-    return [",".join([f"{v:.12g}" for v in row]) + "\n" for row in rows.tolist()]
+def _csv_values(values: np.ndarray) -> list[str]:
+    """Each entry as ``np.savetxt(fmt="%.12g")`` writes it."""
+    return [f"{v:.12g}" for v in values.tolist()]
 
 
 def model_to_dict(model: CbnModel) -> dict:
@@ -109,7 +115,7 @@ def write_model_json(doc: dict, path) -> None:
 
     Each clique matrix is written as ``json.dumps`` writes its nested
     lists with every entry rounded to 12 significant digits, and
-    ``_format_rows`` formats each distinct row of it once.  Every other
+    ``_format_rows`` formats each distinct entry of it once.  Every other
     value goes through json's C encoder; ``indent=2`` would put each
     number on its own line through the pure-Python encoder.
     """
@@ -119,7 +125,7 @@ def write_model_json(doc: dict, path) -> None:
             value = doc[key]
             if key in ("cpts", "deps") and value:
                 for t, table in enumerate(value):
-                    rows = ", ".join(_format_rows(table, _json_rows))
+                    rows = ", ".join(_format_rows(table, _json_values, "[", ", ", "]"))
                     fh.write(("[\n" if t == 0 else ",\n") + CLIQUE_PREFIX + rows + "]")
                 fh.write("\n  ]")
             else:
@@ -167,10 +173,10 @@ def read_model_json(path) -> dict:
 def write_matrix_csv(table: np.ndarray, path) -> None:
     """Comma-separated rows at 12 significant digits, as ``np.savetxt`` writes.
 
-    ``_format_rows`` formats each distinct row once.
+    ``_format_rows`` formats each distinct entry once.
     """
     with open(path, "w") as fh:
-        fh.write("".join(_format_rows(table, _csv_rows)))
+        fh.write("".join(_format_rows(table, _csv_values, "", ",", "\n")))
 
 
 def _model_tables(doc: dict, key: str, count: int, shape: tuple) -> list:

@@ -18,6 +18,8 @@ from .errors import DimensionError, EmptyInputError, ShapeMismatchError
 
 DEFAULT_EPS = 1e-3
 M_MAX = 20
+#: the probability a CPT row holds for a parent pattern that never occurs
+UNSEEN = 0.5
 
 
 @dataclass(frozen=True)
@@ -25,14 +27,14 @@ class CliqueCPT:
     """Empirical P(child_i = 1 | parent pattern x) with pattern counts.
 
     B is 2^M x M with entries clamped to [eps, 1-eps]; rows whose pattern
-    never occurs hold the uninformative default 0.5.
+    never occurs hold the uninformative default ``UNSEEN`` (0.5).
     """
 
     M: int
     B: np.ndarray = field(repr=False)
     #: frames seen per parent pattern; not stored in model files
     counts: np.ndarray | None = field(default=None, repr=False)
-    #: pre-clamp conditionals (unseen rows still 0.5); kept for oracle checks
+    #: pre-clamp conditionals (unseen rows still UNSEEN); kept for oracle checks
     B_raw: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -126,8 +128,8 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
 
     parent and child are M x K arrays; column k holds the joint sensor
     values at the two ends of frame pair k.  Unseen parent patterns get the
-    default 0.5; everything else is clamped to [eps, 1-eps] so downstream
-    logarithms stay finite.
+    default ``UNSEEN``; everything else is clamped to [eps, 1-eps] so
+    downstream logarithms stay finite.
 
     The parent and child frames are coded once each (``pattern_codes``),
     counted by ``pair_counts`` as one clique and scattered into the 2^M
@@ -142,7 +144,7 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     seen, n, ones = pair_counts(*codes, M)
     counts = np.zeros(2**M, dtype=np.int64)
     counts[seen] = n
-    raw = np.full((2**M, M), 0.5)
+    raw = np.full((2**M, M), UNSEEN)
     raw[seen] = ones / n[:, None]
-    B = np.clip(raw, eps, 1.0 - eps)  # unseen rows keep 0.5, inside the clamp
+    B = np.clip(raw, eps, 1.0 - eps)  # unseen rows keep UNSEEN, inside the clamp
     return CliqueCPT(M=M, B=B, counts=counts, B_raw=raw)

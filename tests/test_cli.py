@@ -34,6 +34,7 @@ from cbnet.cli import (
     write_matrix_csv,
     write_model_json,
 )
+from cbnet.cpt import UNSEEN
 
 
 def run_cli(*argv):
@@ -219,6 +220,23 @@ class TestLearnCommand:
         proc = run_fresh(code)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(model_path.read_text())["tp"] >= 2
+
+    def test_learn_and_export_leave_numpy_ma_unloaded(self, tmp_path):
+        # numpy 2.4's np.unique without return_* flags imports numpy.ma,
+        # ~1.1 MiB of resident memory that no stage needs
+        obs, model_path = tmp_path / "wide.csv", tmp_path / "model.json"
+        rng = np.random.default_rng(12)
+        from cbnet.stream_csv import write_stream_csv
+
+        write_stream_csv(ObservationStream((rng.random((12, 600)) < 0.5).astype(np.int8)), obs)
+        runs = [["learn", "--input", str(obs), "--output", str(model_path), "--period", "4"],
+                ["export", "--model", str(model_path), "--dot", str(tmp_path / "m.dot"),
+                 "--csv-dir", str(tmp_path / "matrices")]]
+        code = ("import sys; from cbnet.cli import main; "
+                f"sys.exit(any(main(argv) for argv in {runs!r}) or 'numpy.ma' in sys.modules)")
+        proc = run_fresh(code)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list((tmp_path / "matrices").iterdir())) == 6
 
     def test_out_of_memory_exits_two(self, tmp_path):
         # M = 20 at period 12: each clique's 2^20 x 20 tables are 160 MiB,
@@ -573,11 +591,14 @@ def _table(base, masks, picks, layout) -> np.ndarray:
     """Rows of ``picks`` from ``base`` and its twins, in the given layout.
 
     Twin rows swap some entries of ``base`` for ``_twin`` of them, so rows
-    repeat, and rows that differ only in their bits sit side by side.
+    repeat, and rows that differ only in their bits sit side by side.  Pick
+    4 is a row of the default ``UNSEEN``, which the writers share a text for.
     """
     distinct = [[_twin(v) if flip else v for v, flip in zip(base, mask)]
                 for mask in masks]
-    table = np.array([distinct[p % len(distinct)] for p in picks], dtype=np.float64)
+    default = [UNSEEN] * len(base)
+    table = np.array([distinct[p % len(distinct)] if p < 4 else default for p in picks],
+                     dtype=np.float64)
     if layout == "transposed":
         return np.ascontiguousarray(table.T).T
     if layout == "strided":
@@ -591,7 +612,7 @@ tables = st.integers(1, 5).flatmap(lambda width: st.builds(
              min_size=width, max_size=width),
     st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
              min_size=1, max_size=4),
-    st.lists(st.integers(0, 3), min_size=1, max_size=24),
+    st.lists(st.integers(0, 4), min_size=1, max_size=24),
     st.sampled_from(["c", "transposed", "strided"]),
 ))
 
@@ -673,6 +694,22 @@ class TestModelJson:
         write_model_json(doc, path)
         assert path.read_bytes() == reference_model_json(doc).encode()
 
+    @pytest.mark.parametrize("rows", [1, 4096])
+    def test_default_rows_match_reference(self, tmp_path, rows):
+        # a wide-m12 CPT sees ~3% of its 4096 rows; 0.0 and -0.0 are equal
+        # but written differently, so they sit side by side
+        rng = np.random.default_rng(rows)
+        table = np.full((rows, 12), UNSEEN)
+        seen = np.flatnonzero(rng.random(rows) < 0.03)
+        table[seen] = rng.random((len(seen), 12))
+        table[seen[:1], :4] = [0.0, -0.0, -0.0, 0.0]
+        doc = {"M": 12, "cpts": [table, table[::-1]], "deps": [table]}
+        write_model_json(doc, tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == reference_model_json(doc).encode()
+        write_matrix_csv(table, tmp_path / "a.csv")
+        np.savetxt(tmp_path / "b.csv", table, delimiter=",", fmt="%.12g")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     @settings(max_examples=200, deadline=None)
     @given(cpt=tables, dep=tables)
     def test_tables_match_reference(self, cpt, dep):
@@ -740,7 +777,7 @@ def _entry_table(rows: int, width: int):
                  min_size=width, max_size=width),
         st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
                  min_size=1, max_size=4),
-        st.lists(st.integers(0, 3), min_size=rows, max_size=rows),
+        st.lists(st.integers(0, 4), min_size=rows, max_size=rows),
         st.just("c"),
     )
 

@@ -2,18 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbnet import (
     BoundaryProbabilityError,
     CliqueCPT,
     DependenceMatrix,
     DimensionError,
+    ShapeMismatchError,
     bbcpt,
     cpbd_clique,
     normalize,
 )
-from cbnet.cpt import M_MAX
-from cbnet.dependence import cpbd_tables
+from cbnet import dependence
+from cbnet.cpt import M_MAX, UNSEEN
+from cbnet.dependence import LIVE_SHARE, _live_pairs, _strided_pairs, cpbd_tables
 from cbnet.reference import difference_operator, direct_cpbd
 
 
@@ -21,6 +25,23 @@ def random_cpt(M, seed, lo=0.05, hi=0.95):
     rng = np.random.default_rng(seed)
     B = rng.uniform(lo, hi, size=(2**M, M))
     return CliqueCPT(M=M, B=B, counts=np.ones(2**M, dtype=np.int64))
+
+
+@st.composite
+def seen_tables(draw):
+    """CPTs as ``bbcpt`` makes them: M <= 12, from one seen row to all of
+    them, some seen rows exactly ``UNSEEN``, clamped at a drawn eps."""
+    M = draw(st.sampled_from(range(1, 13)))
+    seen = draw(st.sampled_from([1, 2**M]) | st.integers(1, 2**M))
+    halves = draw(st.integers(0, seen))  # seen rows that read exactly UNSEEN
+    eps = draw(st.sampled_from([5e-13, 1e-3, 0.49]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.choice(2**M, seen, replace=False)
+    n = rng.integers(1, 40, size=(seen, 1))
+    raw = np.full((2**M, M), UNSEEN)
+    raw[rows] = rng.integers(0, n + 1, size=(seen, M)) / n
+    raw[rows[:halves]] = UNSEEN
+    return M, np.clip(raw, eps, 1.0 - eps)
 
 
 class TestDifferenceOperator:
@@ -80,6 +101,44 @@ class TestCpbdClique:
         cpt = CliqueCPT(M=1, B=B, counts=np.ones(2, dtype=np.int64))
         with pytest.raises(BoundaryProbabilityError):
             cpbd_clique(cpt)
+
+    @pytest.mark.parametrize("M", [2, 8])  # the strided views, the live rows
+    def test_nan_entry_rejected(self, M):
+        # a NaN entry used to give a NaN column of D, which normalize does
+        # not flag
+        B = np.full((2**M, M), UNSEEN)
+        B[0, 0] = np.nan
+        with pytest.raises(BoundaryProbabilityError):
+            cpbd_clique(CliqueCPT(M=M, B=B))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 2), (8,), (2, 2, 2), (2, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        # (4, 3) at M = 2 used to fail inside numpy's reshape
+        with pytest.raises(ShapeMismatchError):
+            cpbd_tables(2, np.full(shape, UNSEEN))
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=seen_tables())
+    def test_live_rows_match_strided_views(self, table):
+        M, B = table
+        live = np.flatnonzero((B != UNSEEN).any(axis=1))
+        want = _strided_pairs(M, B).tobytes()
+        assert _live_pairs(M, B, live).tobytes() == want
+        assert cpbd_tables(M, B).tobytes() == want
+
+    @pytest.mark.parametrize("live, form", [
+        (0, "live"), (32, "live"), (33, "strided"), (256, "strided")])
+    def test_form_follows_live_rows(self, monkeypatch, live, form):
+        M, taken = 8, []
+        for name in ("_live_pairs", "_strided_pairs"):
+            fn = getattr(dependence, name)
+            monkeypatch.setattr(dependence, name,
+                                lambda *a, fn=fn, name=name: taken.append(name) or fn(*a))
+        B = np.full((2**M, M), UNSEEN)
+        B[:live, 0] = 0.25
+        assert 2**M // LIVE_SHARE == 32
+        cpbd_tables(M, B)
+        assert taken == [f"_{form}_pairs"]
 
     @pytest.mark.parametrize("M", [2, 3, 4])
     def test_matches_direct_oracle(self, M):
