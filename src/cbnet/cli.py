@@ -136,27 +136,37 @@ def write_model_json(doc: dict, path) -> None:
 def read_model_json(path) -> dict:
     """The document of a model file, as ``json.load`` reads it.
 
-    A line ``CLIQUE_PREFIX + "[...]]"`` whose distinct row texts parse to flat
-    lists of floats of one width is read as their table and swapped for the
-    int ``_MARK`` + its number.  If ``json.loads`` then finds just the marks
-    in ``cpts`` and ``deps``, in order, the tables take their place; any
-    other file is read whole by ``json.loads``.
+    A line ``CLIQUE_PREFIX + "[...]]"`` whose distinct row texts parse, in
+    one ``json.loads``, to as many flat lists of floats of one width is read
+    as their table and swapped for the int ``_MARK`` + its number.  If
+    ``json.loads`` then finds just the marks in ``cpts`` and ``deps``, in
+    order, the tables take their place; any other file is read whole by
+    ``json.loads``.  A row text holding ``],[`` parses to more rows than
+    there are texts, and so sends the file to ``json.loads`` too.
     """
     text = Path(path).read_text(encoding="utf-8")
-    tables, doc, lines = [], None, text.split("\n") if CLIQUE_PREFIX + "[" in text else []
+    head = "\n" + CLIQUE_PREFIX + "["
+    tables, pieces, done, doc = [], [], 0, None
     try:
-        for n, line in enumerate(lines):
-            clique = line.removesuffix(",")
-            if clique.startswith(CLIQUE_PREFIX + "[") and clique.endswith("]]"):
-                rows = clique[len(CLIQUE_PREFIX) + 1:-2].split(ROW_SEP)
+        at = text.find(head)
+        while at >= 0:
+            stop = text.find("\n", at + 1) % (len(text) + 1)  # the line's end
+            end = stop - text.endswith(",", at, stop)  # the clique's end
+            if text.endswith("]]", at, end):
+                rows = text[at + len(head):end - 2].split(ROW_SEP)
                 index = dict(zip(dict.fromkeys(rows), range(len(rows))))
-                parsed = [json.loads(f"[{row}]") for row in index]
-                if any(type(v) is not float for row in parsed for v in row):
+                parsed = json.loads("[[" + "],[".join(index) + "]]")
+                if len(parsed) != len(index) or not all(
+                        type(row) is list and all(type(v) is float for v in row)
+                        for row in parsed):
                     break  # np.array raises ValueError on rows of two widths
-                lines[n] = f"{_MARK + len(tables)}{line[len(clique):]}"
-                tables.append(np.array(parsed, dtype=np.float64)[[index[r] for r in rows]])
+                pieces += text[done:at + 1], str(_MARK + len(tables))
+                table = np.array(parsed, dtype=np.float64)
+                tables.append(table.take([index[r] for r in rows], axis=0))
+                done = end
+            at = text.find(head, stop)
         else:
-            rest = "\n".join(lines)
+            rest = "".join(pieces) + text[done:]
             if tables and all(rest.count(str(_MARK + t)) == 1 for t in range(len(tables))):
                 doc = json.loads(rest)
     except ValueError:

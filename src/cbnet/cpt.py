@@ -34,7 +34,8 @@ class CliqueCPT:
     B: np.ndarray = field(repr=False)
     #: frames seen per parent pattern; not stored in model files
     counts: np.ndarray | None = field(default=None, repr=False)
-    #: pre-clamp conditionals (unseen rows still UNSEEN); kept for oracle checks
+    #: pre-clamp conditionals (unseen rows still UNSEEN), for oracle checks;
+    #: ``bbcpt`` sets it, ``learn_cbn``'s CPTs leave it None
     B_raw: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -104,23 +105,53 @@ def pair_counts(parent: np.ndarray, child: np.ndarray, m: int):
     Frame pair k of clique s has the key s << 2M | parent << M | child; the
     sorted keys run in triples, each run as long as its triple's count.
     ``seen`` holds the (clique, parent) keys s << M | parent that occur, in
-    key order, ``n`` their counts and ``ones`` their (U, M) child-on counts;
-    no table of all 2^M patterns is made.  ``bbcpt`` counts one clique
-    (S = 1); the period search, every phase.
+    key order, ``n`` their counts and ``ones`` their (U, M) child-on counts,
+    all int64; no table of all 2^M patterns is made.  The keys are int32
+    when 2M + bits(S - 1) <= 31 and int64 otherwise, and are sorted in
+    place.  ``bbcpt`` counts one clique (S = 1); the period search, every
+    phase; ``learn_cbn``, every clique of the model.
     """
     s = parent.shape[1]
-    if 2 * m + (s - 1).bit_length() > 63:
+    bits = 2 * m + (s - 1).bit_length()
+    if bits > 63:
         raise DimensionError(f"keys of {s} cliques of {m} sensors exceed 63 bits")
-    keys = np.left_shift(parent, m, dtype=np.int64)  # a new array, or-ed in place
+    dtype = np.int32 if bits <= 31 else np.int64
+    keys = np.left_shift(parent, m, dtype=dtype)  # a new array, or-ed in place
     keys |= child
-    keys |= np.arange(s, dtype=np.int64) << 2 * m
-    triples, runs = np.unique(keys, return_counts=True)  # sorted, with run lengths
-    first = np.flatnonzero(np.diff(triples >> m, prepend=-1))  # each (clique, parent)
+    keys |= np.arange(s, dtype=dtype) << 2 * m
+    keys = keys.reshape(-1)
+    keys.sort()
+    head = np.empty(keys.size, dtype=bool)  # where each run of equal keys starts
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    triples, runs = keys[heads], np.diff(heads, append=keys.size)
+    groups = triples >> m  # (clique, parent) of each triple
+    first = np.flatnonzero(np.diff(groups, prepend=-1))
     on = triples >> np.arange(m - 1, -1, -1)[:, None]  # (M, U), in place from here
     on &= 1
     on *= runs
     ones = np.add.reduceat(on, first, axis=1).T.copy()  # rows summed in C order
-    return triples[first] >> m, np.add.reduceat(runs, first), ones
+    return groups[first].astype(np.int64, copy=False), np.add.reduceat(runs, first), ones
+
+
+def clique_cpt(
+    m: int, patterns, n, ones, eps: float, keep_raw: bool = False
+) -> CliqueCPT:
+    """The CPT of one clique from its ``pair_counts`` rows.
+
+    ``patterns`` are the clique's seen parent patterns, ``n`` their counts
+    and ``ones`` their child-on counts; every other row holds ``UNSEEN``,
+    and every entry is clamped to [eps, 1-eps].  The pre-clamp table is
+    kept as ``B_raw`` only when asked for; otherwise it is clamped in place.
+    """
+    counts = np.zeros(2**m, dtype=np.int64)
+    counts[patterns] = n
+    raw = np.full((2**m, m), UNSEEN)
+    raw[patterns] = ones / n[:, None]
+    # unseen rows keep UNSEEN, inside the clamp
+    B = np.clip(raw, eps, 1.0 - eps, out=None if keep_raw else raw)
+    return CliqueCPT(M=m, B=B, counts=counts, B_raw=raw if keep_raw else None)
 
 
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
@@ -141,10 +172,4 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     check_eps(eps)
     M = parent.shape[0]
     codes = [pattern_codes(frames)[:, None] for frames in (parent, child)]
-    seen, n, ones = pair_counts(*codes, M)
-    counts = np.zeros(2**M, dtype=np.int64)
-    counts[seen] = n
-    raw = np.full((2**M, M), UNSEEN)
-    raw[seen] = ones / n[:, None]
-    B = np.clip(raw, eps, 1.0 - eps)  # unseen rows keep UNSEEN, inside the clamp
-    return CliqueCPT(M=M, B=B, counts=counts, B_raw=raw)
+    return clique_cpt(M, *pair_counts(*codes, M), eps, keep_raw=True)

@@ -40,6 +40,7 @@ from .cpt import (
     bbcpt,
     check_eps,
     check_sensor_count,
+    clique_cpt,
     pair_counts,
     pattern_codes,
 )
@@ -51,7 +52,8 @@ from .errors import (
     NoPeakError,
     NoValleyError,
 )
-from .observations import ObservationStream, fold, frame_pair
+# frame_pair is not called here, but perfbench's tracer wraps it by this name
+from .observations import ObservationStream, fold, frame_pair  # noqa: F401
 
 _SUPPORT_CHUNK = 1 << 14  #: counts of the null's hypergeometric walk at a time
 
@@ -202,7 +204,9 @@ def _rejects(g: np.ndarray, null: np.ndarray, sd: np.ndarray, average: bool) -> 
     return bool((g - null > Z_PHASE * sd).any() or g.sum() > point)
 
 
-def find_null_period(stream: ObservationStream) -> tuple[int, int]:
+def find_null_period(
+    stream: ObservationStream, codes: np.ndarray | None = None
+) -> tuple[int, int]:
     """(first lag at the null, smallest lag confirmed at its multiples).
 
     Lags x = 2, 3, ... are tested in turn.  One phase's excess G - null is
@@ -213,9 +217,10 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
     leave every phase at least two frame pairs (x <= N/3) are tested,
     candidates and multiples alike; a stream of fewer than 6 slots has none.
 
-    Each test folds and counts its lag, and takes the exact null mean only
-    where the cap does not already reject: the cap bounds the null mean,
-    and both tests reject any null mean below a mean they reject.
+    The stream is coded once (``pattern_codes``), unless the caller passes
+    its codes.  Each test folds and counts its lag, and takes the exact null
+    mean only where the cap does not already reject: the cap bounds the null
+    mean, and both tests reject any null mean below a mean they reject.
     """
     # a lag is testable while every phase keeps at least two frame pairs
     max_lag = stream.slot_count // 3
@@ -224,7 +229,8 @@ def find_null_period(stream: ObservationStream) -> tuple[int, int]:
             f"stream of {stream.slot_count} slots is too short for a period search"
         )
     m = stream.sensor_count
-    codes = pattern_codes(stream.values)  # each slot's pattern, folded per lag
+    if codes is None:
+        codes = pattern_codes(stream.values)  # each slot's pattern, folded per lag
 
     def at_null(x: int, average: bool) -> bool:
         folded = fold(codes, x)
@@ -367,24 +373,29 @@ def learn_cbn(
         "epsilon": epsilon,
         "period_override": period,
     }
+    codes = pattern_codes(stream.values)  # each slot's pattern
     ts_star = None
     if period is None:
-        ts_star, period = find_null_period(stream)
+        ts_star, period = find_null_period(stream, codes)
 
     # fold range-checks the period, given or not, before the warning
-    frames = fold(stream, period)
+    folded = fold(codes, period)
     if stream.slot_count < 4 * period:
         warnings.warn(
             f"stream of {stream.slot_count} slots is short for period "
             f"{period}; estimates may be unstable",
             stacklevel=2,
         )
+    # clique t pairs phase t with phase t + 1 of each frame: all at once
+    seen, n, ones = pair_counts(folded[:, :-1], folded[:, 1:], m)
+    del codes, folded  # not needed past the count
+    bounds = np.searchsorted(seen >> m, np.arange(period))  # each clique's run
+    patterns = seen & (2**m - 1)
 
     cpts = []
     deps = []
-    for t in range(1, period):
-        parent, child = frame_pair(frames, t, circular=False)
-        cpt = bbcpt(parent, child, eps=epsilon)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cpt = clique_cpt(m, patterns[lo:hi], n[lo:hi], ones[lo:hi], epsilon)
         cpts.append(cpt)
         deps.append(normalize(cpbd_clique(cpt)))
 

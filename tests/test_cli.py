@@ -26,6 +26,7 @@ from cbnet.cli import (
     CLIQUE_PREFIX,
     EPS_MIN,
     MODEL_FORMAT,
+    ROW_SEP,
     main,
     model_from_dict,
     model_to_dict,
@@ -838,6 +839,19 @@ class TestReadModelJson:
         path.write_text("\n".join(lines))
         assert_reads_alike(path)
         assert whole_text_parses(path, monkeypatch) == (0 if bulk else 1)
+
+    @pytest.mark.parametrize("clique", [0, 2])  # the first cpts line, the first deps line
+    def test_row_text_holding_a_row_break(self, tmp_path, monkeypatch, clique):
+        # "],[" inside one row text: its distinct texts, parsed together,
+        # give one row more than there are texts, so the file is read whole
+        path = tmp_path / "model.json"
+        write_model_json(model_to_dict(learned_model(2, 3)), path)
+        lines = path.read_text().split("\n")
+        n = [i for i, line in enumerate(lines) if line.startswith(CLIQUE_PREFIX)][clique]
+        lines[n] = lines[n].replace(ROW_SEP, "],[", 1)
+        path.write_text("\n".join(lines))
+        assert_reads_alike(path)
+        assert whole_text_parses(path, monkeypatch) == 1
 
     @pytest.mark.parametrize("where", ["before", "after"])
     @pytest.mark.parametrize("value", ["5", "[\n    [[0.5, 0.5]]\n  ]"])

@@ -221,6 +221,19 @@ class TestPairCounts:
         _, n, ones = pair_counts(pattern_codes(parent), pattern_codes(child), 5)
         assert (ones[:, 1] == 0).all() and (ones[:, 3] == n).all()
 
+    @pytest.mark.parametrize("M, S", [(15, 2), (15, 3), (16, 1), (14, 8)])
+    def test_key_width_boundary(self, M, S):
+        # keys of 31 bits (M = 15, two cliques; M = 14, eight) are int32,
+        # of 32 bits int64; each clique's last pair is the all-on pattern,
+        # its largest key
+        parent, child = random_pair(M, 60 * S, M + S, p=0.5, q=0.5)
+        parent, child = parent.reshape(M, 60, S), child.reshape(M, 60, S)
+        parent[:, -1], child[:, -1] = 1, 1
+        assert_pair_counts_match_oracle(parent, child)
+        seen, n, ones = pair_counts(pattern_codes(parent), pattern_codes(child), M)
+        assert seen.dtype == n.dtype == ones.dtype == np.int64
+        assert seen[-1] == (S - 1) << M | (2**M - 1)
+
     def test_63_bit_keys_fit(self):
         # two cliques of 31 sensors fill 63 bits
         codes = np.zeros((1, 2), dtype=np.int64)

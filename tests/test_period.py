@@ -20,6 +20,8 @@ from cbnet import (
     NoValleyError,
     ObservationStream,
     PeriodRangeError,
+    bbcpt,
+    cpbd_clique,
     dft_magnitude,
     find_tp,
     find_ts,
@@ -27,6 +29,7 @@ from cbnet import (
     frame_pair,
     lag_dependence,
     learn_cbn,
+    normalize,
     paper_period,
     resolve_period,
 )
@@ -400,6 +403,69 @@ class TestLearnCbn:
             assert np.array_equal(got.counts, want.counts)
         for got, want in zip(model.deps, reference.deps, strict=True):
             assert np.array_equal(got.D, want.D)
+
+    @pytest.mark.filterwarnings("ignore:stream of")  # a learned period may be long
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(2, 6),
+        st.integers(4, 30),
+        st.integers(0, 5),
+        st.floats(0.0, 0.3),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_cliques_are_those_of_bbcpt(self, m, period, reps, extra, noise, seed, blind):
+        # every clique of one count equals its own bbcpt, cpbd_clique and
+        # normalize, byte for byte, at a given period and at a learned one
+        rng = np.random.default_rng(seed)
+        base = rng.integers(0, 2, (m, period))
+        values = np.tile(base, reps + 1)[:, : period * reps + extra]
+        s = stream_of(values ^ (rng.random(values.shape) < noise))
+        model = learn_cbn(s, period=None if blind else period, epsilon=0.01)
+        frames = fold(s, model.period)
+        assert len(model.cpts) == model.period - 1
+        for t, (cpt, dep) in enumerate(zip(model.cpts, model.deps, strict=True), 1):
+            want = bbcpt(*frame_pair(frames, t), eps=0.01)
+            assert cpt.B.tobytes() == want.B.tobytes()
+            assert cpt.counts.tobytes() == want.counts.tobytes()
+            want_dep = normalize(cpbd_clique(want))
+            assert dep.D.tobytes() == want_dep.D.tobytes()
+            assert dep.degenerate == want_dep.degenerate
+
+    def test_one_count_and_no_bbcpt(self, monkeypatch):
+        # the stream is coded once, by the search and the cliques together,
+        # and a given period's cliques take one pair_counts call
+        import cbnet.period as period
+
+        coded, counted = [], []
+        code, count = period.pattern_codes, period.pair_counts
+
+        def counted_code(values):
+            coded.append(values.shape)
+            return code(values)
+
+        def counted_count(parent, child, m):
+            counted.append(parent.shape)
+            return count(parent, child, m)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("learn_cbn called bbcpt")
+
+        monkeypatch.setattr(period, "pattern_codes", counted_code)
+        monkeypatch.setattr(period, "pair_counts", counted_count)
+        monkeypatch.setattr(period, "bbcpt", unreachable)
+        s = planted_stream(6, 200, seed=4)
+        model = learn_cbn(s)
+        assert model.period == 6 and coded == [s.values.shape]
+        coded.clear()
+        counted.clear()
+        learn_cbn(s, period=6)
+        assert coded == [s.values.shape] and counted == [(200, 5)]
+
+    def test_period_one_has_no_clique(self):
+        model = learn_cbn(planted_stream(4, 40), period=1)
+        assert model.cpts == model.deps == ()
 
     def test_short_stream_warns(self):
         s = stream_of([[0, 1] * 8])
