@@ -405,6 +405,8 @@ def export_dot(model: CbnModel, threshold: float = 0.0) -> str:
 
 
 def cmd_export(args) -> int:
+    if not (args.dot or args.csv_dir):
+        raise ValueError("nothing to export: give --dot and/or --csv-dir")
     if not math.isfinite(args.threshold):
         raise ValueError(f"--threshold {args.threshold} is not a finite number")
     try:

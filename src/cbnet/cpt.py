@@ -1,11 +1,12 @@
-"""Closed-form conditional probability table estimation for one clique.
+"""Closed-form conditional probability table estimation for cliques.
 
 The 2^M parent patterns are the rows of a condition matrix, row x being the
 binary encoding of x.  The closed form matches every frame against every
 row with a floored-average indicator; since a frame matches exactly the row
 whose index is its own parent pattern, production code codes both columns
 of each frame pair as pattern indices and counts their sorted keys
-(``cbnet.reference`` keeps the literal match and a counting oracle).
+(``cbnet.reference`` keeps the literal match and a counting oracle).  One
+count (``pair_counts``) of S cliques gives S tables (``clique_cpts``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class CliqueCPT:
     #: frames seen per parent pattern; not stored in model files
     counts: np.ndarray | None = field(default=None, repr=False)
     #: pre-clamp conditionals (unseen rows still UNSEEN), for oracle checks;
-    #: ``bbcpt`` sets it, ``learn_cbn``'s CPTs leave it None
+    #: ``bbcpt`` sets it, the other ``clique_cpts`` callers leave it None
     B_raw: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -108,8 +109,8 @@ def pair_counts(parent: np.ndarray, child: np.ndarray, m: int):
     key order, ``n`` their counts and ``ones`` their (U, M) child-on counts,
     all int64; no table of all 2^M patterns is made.  The keys are int32
     when 2M + bits(S - 1) <= 31 and int64 otherwise, and are sorted in
-    place.  ``bbcpt`` counts one clique (S = 1); the period search, every
-    phase; ``learn_cbn``, every clique of the model.
+    place.  ``bbcpt`` counts one clique (S = 1); the search and the profile
+    (``lag_dependence``), every phase of a lag; ``learn_cbn``, every clique.
     """
     s = parent.shape[1]
     bits = 2 * m + (s - 1).bit_length()
@@ -135,23 +136,28 @@ def pair_counts(parent: np.ndarray, child: np.ndarray, m: int):
     return groups[first].astype(np.int64, copy=False), np.add.reduceat(runs, first), ones
 
 
-def clique_cpt(
-    m: int, patterns, n, ones, eps: float, keep_raw: bool = False
-) -> CliqueCPT:
-    """The CPT of one clique from its ``pair_counts`` rows.
+def clique_cpts(
+    m: int, cliques: int, seen, n, ones, eps: float, keep_raw: bool = False
+) -> list[CliqueCPT]:
+    """The CPTs of S cliques from one ``pair_counts`` result, in clique order.
 
-    ``patterns`` are the clique's seen parent patterns, ``n`` their counts
-    and ``ones`` their child-on counts; every other row holds ``UNSEEN``,
-    and every entry is clamped to [eps, 1-eps].  The pre-clamp table is
-    kept as ``B_raw`` only when asked for; otherwise it is clamped in place.
+    Clique s takes the rows of the seen keys s << M | parent; every other
+    row holds ``UNSEEN``, and every entry is clamped to [eps, 1-eps].  The
+    pre-clamp table is kept as ``B_raw`` only when asked for; otherwise it
+    is clamped in place.
     """
-    counts = np.zeros(2**m, dtype=np.int64)
-    counts[patterns] = n
-    raw = np.full((2**m, m), UNSEEN)
-    raw[patterns] = ones / n[:, None]
-    # unseen rows keep UNSEEN, inside the clamp
-    B = np.clip(raw, eps, 1.0 - eps, out=None if keep_raw else raw)
-    return CliqueCPT(M=m, B=B, counts=counts, B_raw=raw if keep_raw else None)
+    bounds = np.searchsorted(seen >> m, np.arange(cliques + 1))  # each clique's run
+    patterns = seen & (2**m - 1)
+    cpts = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        counts = np.zeros(2**m, dtype=np.int64)
+        counts[patterns[lo:hi]] = n[lo:hi]
+        raw = np.full((2**m, m), UNSEEN)
+        raw[patterns[lo:hi]] = ones[lo:hi] / n[lo:hi, None]
+        # unseen rows keep UNSEEN, inside the clamp
+        B = np.clip(raw, eps, 1.0 - eps, out=None if keep_raw else raw)
+        cpts.append(CliqueCPT(M=m, B=B, counts=counts, B_raw=raw if keep_raw else None))
+    return cpts
 
 
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
@@ -172,4 +178,4 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     check_eps(eps)
     M = parent.shape[0]
     codes = [pattern_codes(frames)[:, None] for frames in (parent, child)]
-    return clique_cpt(M, *pair_counts(*codes, M), eps, keep_raw=True)
+    return clique_cpts(M, 1, *pair_counts(*codes, M), eps, keep_raw=True)[0]

@@ -64,11 +64,14 @@ def fold(stream: ObservationStream | np.ndarray, period: int) -> np.ndarray:
 
     frames[i, k, t] is sensor i at 0-based slot k*P + t: frame k, phase
     t + 1.  The trailing N mod P slots are dropped, and nothing is copied.
-    P must leave at least two frames.  Any array with the slots on its last
-    axis folds alike: a stream's per-slot pattern codes fold to (F, P).
+    P must be an integer (a bool or float is refused) that leaves at least
+    two frames.  Any array with the slots on its last axis folds alike: a
+    stream's per-slot pattern codes fold to (F, P).
     """
     values = stream.values if isinstance(stream, ObservationStream) else stream
     n = values.shape[-1]
+    if isinstance(period, bool) or not isinstance(period, (int, np.integer)):
+        raise PeriodRangeError(f"fold period {period!r} is not an integer")
     if not 1 <= period <= n // 2:
         raise PeriodRangeError(
             f"fold period {period} outside [1, {n // 2}] for {n} slots"

@@ -37,10 +37,9 @@ import numpy as np
 from .cpt import (
     DEFAULT_EPS,
     CliqueCPT,
-    bbcpt,
     check_eps,
     check_sensor_count,
-    clique_cpt,
+    clique_cpts,
     pair_counts,
     pattern_codes,
 )
@@ -52,7 +51,8 @@ from .errors import (
     NoPeakError,
     NoValleyError,
 )
-# frame_pair is not called here, but perfbench's tracer wraps it by this name
+# bbcpt and frame_pair are not called here; perfbench's tracer wraps these names
+from .cpt import bbcpt  # noqa: F401
 from .observations import ObservationStream, fold, frame_pair  # noqa: F401
 
 _SUPPORT_CHUNK = 1 << 14  #: counts of the null's hypergeometric walk at a time
@@ -96,12 +96,12 @@ def lag_dependence(
 
     Folding the (sub)stream at P = x makes each phase column a clique whose
     consecutive frames are exactly x raw slots apart, so pairing it with its
-    next-frame self probes the lag-x dependence.  Each phase's CPT is counted
-    by ``bbcpt`` and measured by ``cpbd_clique``; the value is the sum of the x
-    per-phase CPbD matrices, taken in phase order and averaged over phases
-    and edges: the profile ``paper_period`` searches.
+    next-frame self probes the lag-x dependence.  As in the search, the codes
+    of the (sub)stream are folded and all x phases counted in one call; the
+    value is the sum of the phases' ``cpbd_clique`` matrices, in phase order,
+    averaged over phases and edges: the profile ``paper_period`` searches.
     """
-    frames = fold(stream, x)
+    values = stream.values
     if sensors is not None:
         # the selection must be non-empty, in range and without repeats
         idx = list(sensors)
@@ -109,12 +109,12 @@ def lag_dependence(
             raise EmptyInputError("no sensors selected")
         if len({range(stream.sensor_count)[i] for i in idx}) != len(idx):
             raise ValueError(f"sensors {idx} repeat an index")
-        frames = frames[idx]
-    m = frames.shape[0]
-    parent, child = frames[:, :-1], frames[:, 1:]
+        values = values[idx]
+    check_eps(eps)
+    m = values.shape[0]
+    folded = fold(pattern_codes(values), x)
     total = 0.0
-    for p in range(x):
-        cpt = bbcpt(parent[:, :, p], child[:, :, p], eps=eps)
+    for cpt in clique_cpts(m, x, *pair_counts(folded[:-1], folded[1:], m), eps):
         total += float(cpbd_clique(cpt).D.sum())
     return total / (x * m * m)
 
@@ -389,15 +389,8 @@ def learn_cbn(
     # clique t pairs phase t with phase t + 1 of each frame: all at once
     seen, n, ones = pair_counts(folded[:, :-1], folded[:, 1:], m)
     del codes, folded  # not needed past the count
-    bounds = np.searchsorted(seen >> m, np.arange(period))  # each clique's run
-    patterns = seen & (2**m - 1)
-
-    cpts = []
-    deps = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        cpt = clique_cpt(m, patterns[lo:hi], n[lo:hi], ones[lo:hi], epsilon)
-        cpts.append(cpt)
-        deps.append(normalize(cpbd_clique(cpt)))
+    cpts = clique_cpts(m, period - 1, seen, n, ones, epsilon)
+    deps = [normalize(cpbd_clique(cpt)) for cpt in cpts]
 
     return CbnModel(
         M=m,

@@ -311,6 +311,14 @@ class TestExportCommand:
         # diagonals are 1.0, so at least the self-edges survive
         assert expect >= 21
 
+    def test_no_output_rejected_before_reading(self, tmp_path, capsys):
+        # no --dot and no --csv-dir: nothing would be written, so the model
+        # (here not even a file) is never read
+        missing = tmp_path / "missing.json"
+        assert run_cli("export", "--model", missing) == 2
+        assert "--dot and/or --csv-dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_rejected(self, tmp_path, model_path, capsys, value):
         dot = tmp_path / "g.dot"

@@ -81,8 +81,10 @@ class TestFold:
         f = fold(s, 4)
         assert f.shape[1] == 2
         assert f.reshape(1, -1).shape == (1, 8)
+        # a numpy integer period folds as its int does
+        assert fold(s, np.int64(4)).tobytes() == f.tobytes()
 
-    @pytest.mark.parametrize("period", [0, -1, 6, 100])
+    @pytest.mark.parametrize("period", [0, -1, 6, 100, 2.0, True])
     def test_period_out_of_range(self, period):
         s = make_stream([[0, 1] * 5])
         with pytest.raises(PeriodRangeError):

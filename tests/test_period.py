@@ -153,6 +153,75 @@ class TestLagDependence:
         with pytest.raises(DimensionError):
             lag_dependence(s, 2)
 
+    @pytest.mark.parametrize("x", [2.0, True])
+    def test_non_integer_lag_refused(self, x):
+        with pytest.raises(PeriodRangeError):
+            lag_dependence(planted_stream(4, 10), x)
+
+    def test_one_code_one_count_and_no_bbcpt(self, monkeypatch):
+        # the selected rows are coded once and all x phases of the lag take
+        # one pair_counts call, the front of the blind search
+        import cbnet.period as period
+
+        coded, counted = [], []
+        code, count = period.pattern_codes, period.pair_counts
+
+        def counted_code(values):
+            coded.append(values.shape)
+            return code(values)
+
+        def counted_count(parent, child, m):
+            counted.append((parent.shape, m))
+            return count(parent, child, m)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("lag_dependence called bbcpt")
+
+        monkeypatch.setattr(period, "pattern_codes", counted_code)
+        monkeypatch.setattr(period, "pair_counts", counted_count)
+        monkeypatch.setattr(period, "bbcpt", unreachable)
+        s = planted_stream(6, 50, M=4)
+        lag_dependence(s, 7)
+        assert coded == [(4, 300)] and counted == [((41, 7), 4)]
+        coded.clear()
+        counted.clear()
+        lag_dependence(s, 5, sensors=[2, 0])
+        assert coded == [(2, 300)] and counted == [((59, 5), 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_phase_bbcpt_sum(self, data):
+        # byte for byte the sum of per-phase bbcpt + cpbd_clique, in phase order
+        M = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(4, 300))
+        x = data.draw(st.integers(1, n // 2))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        s = stream_of(rng.random((M, n)) < data.draw(st.sampled_from([0.1, 0.5])))
+        sensors = data.draw(
+            st.none() | st.lists(st.integers(0, M - 1), min_size=1, unique=True)
+        )
+        eps = data.draw(st.sampled_from([5e-13, 1e-3, 0.49]))
+        frames = fold(s, x) if sensors is None else fold(s, x)[sensors]
+        total = 0.0
+        for p in range(x):
+            cpt = bbcpt(frames[:, :-1, p], frames[:, 1:, p], eps=eps)
+            total += float(cpbd_clique(cpt).D.sum())
+        want = total / (x * len(frames) ** 2)
+        got = lag_dependence(s, x, sensors=sensors, eps=eps)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("eps", [0.7, 0.5, 0.0, -1e-3, math.nan])
+    def test_bad_eps_rejected_before_any_count(self, monkeypatch, eps):
+        import cbnet.period as period
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("counted before checking eps")
+
+        monkeypatch.setattr(period, "pattern_codes", unreachable)
+        monkeypatch.setattr(period, "pair_counts", unreachable)
+        with pytest.raises(ValueError, match="eps"):
+            lag_dependence(planted_stream(4, 10), 2, eps=eps)
+
 
 class TestFindTs:
     def test_decreasing_then_flat_profile(self):
