@@ -11,6 +11,7 @@ count (``pair_counts``) of S cliques gives S tables (``clique_cpts``).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,17 +139,17 @@ def pair_counts(parent: np.ndarray, child: np.ndarray, m: int):
 
 def clique_cpts(
     m: int, cliques: int, seen, n, ones, eps: float, keep_raw: bool = False
-) -> list[CliqueCPT]:
+) -> Iterator[CliqueCPT]:
     """The CPTs of S cliques from one ``pair_counts`` result, in clique order.
 
     Clique s takes the rows of the seen keys s << M | parent; every other
     row holds ``UNSEEN``, and every entry is clamped to [eps, 1-eps].  The
     pre-clamp table is kept as ``B_raw`` only when asked for; otherwise it
-    is clamped in place.
+    is clamped in place.  The tables are yielded one at a time, so a caller
+    that sums over them holds one 2^M-row table, not S.
     """
     bounds = np.searchsorted(seen >> m, np.arange(cliques + 1))  # each clique's run
     patterns = seen & (2**m - 1)
-    cpts = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         counts = np.zeros(2**m, dtype=np.int64)
         counts[patterns[lo:hi]] = n[lo:hi]
@@ -156,8 +157,7 @@ def clique_cpts(
         raw[patterns[lo:hi]] = ones[lo:hi] / n[lo:hi, None]
         # unseen rows keep UNSEEN, inside the clamp
         B = np.clip(raw, eps, 1.0 - eps, out=None if keep_raw else raw)
-        cpts.append(CliqueCPT(M=m, B=B, counts=counts, B_raw=raw if keep_raw else None))
-    return cpts
+        yield CliqueCPT(M=m, B=B, counts=counts, B_raw=raw if keep_raw else None)
 
 
 def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
@@ -178,4 +178,4 @@ def bbcpt(parent, child, eps: float = DEFAULT_EPS) -> CliqueCPT:
     check_eps(eps)
     M = parent.shape[0]
     codes = [pattern_codes(frames)[:, None] for frames in (parent, child)]
-    return clique_cpts(M, 1, *pair_counts(*codes, M), eps, keep_raw=True)[0]
+    return next(clique_cpts(M, 1, *pair_counts(*codes, M), eps, keep_raw=True))

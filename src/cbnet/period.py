@@ -364,6 +364,7 @@ def learn_cbn(
     check_sensor_count(m)
     check_eps(epsilon)  # before the period search, which never reads it
     if period is not None:
+        # fold's rule, here before int() turns 2.5 into 2, and a ConfigError
         if isinstance(period, bool) or not isinstance(period, (int, np.integer)):
             raise ConfigError(f"period must be an integer, got {period!r}")
         period = int(period)  # a numpy integer is not JSON-serializable
@@ -389,14 +390,14 @@ def learn_cbn(
     # clique t pairs phase t with phase t + 1 of each frame: all at once
     seen, n, ones = pair_counts(folded[:, :-1], folded[:, 1:], m)
     del codes, folded  # not needed past the count
-    cpts = clique_cpts(m, period - 1, seen, n, ones, epsilon)
-    deps = [normalize(cpbd_clique(cpt)) for cpt in cpts]
+    cpts = tuple(clique_cpts(m, period - 1, seen, n, ones, epsilon))
+    deps = tuple(normalize(cpbd_clique(cpt)) for cpt in cpts)
 
     return CbnModel(
         M=m,
         period=period,
-        cpts=tuple(cpts),
-        deps=tuple(deps),
+        cpts=cpts,
+        deps=deps,
         ts_star=ts_star,
         provenance=provenance,
     )

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +188,21 @@ class TestLagDependence:
         counted.clear()
         lag_dependence(s, 5, sensors=[2, 0])
         assert coded == [(2, 300)] and counted == [((59, 5), 2)]
+
+    def test_holds_one_phase_table_at_a_time(self):
+        # x = 1000 phases of M = 8: keeping every phase's 256-row counts and
+        # B would peak near 18 MB; one table at a time leaves the one count
+        # of the stream's 3000 slots, well under 2 MiB
+        rng = np.random.default_rng(0)
+        s = stream_of(rng.random((8, 3000)) < 0.3)
+        lag_dependence(s, 1000)  # warm any first-call caches
+        tracemalloc.start()
+        try:
+            lag_dependence(s, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 21
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
